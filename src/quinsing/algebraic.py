@@ -6,7 +6,11 @@ nested dense coefficient vectors (Fraction at depth 0), always reduced.
 
 Every generator carries a Q-witness: a square-free elimination polynomial
 in Q[T] (resultant cascade through the defining polynomials) together with
-a selected sympy root of it.  Witness boxes refine exactly in Q and steer
+the index of one of its roots.  A witness of degree at most 2 is exact in
+closed form: its boxes come from integer square roots of the discriminant,
+and realness and conjugation are read off the discriminant's sign.  A
+witness of higher degree selects a sympy CRootOf and refines its isolating
+box by sympy's bisection.  Witness boxes refine exactly in Q and steer
 the decision procedures; the decisions themselves (zero test, realness,
 ordering) are exact.  Defining polynomials are square-free but not
 necessarily irreducible; zero tests fall back to a gcd split decided by
@@ -120,7 +124,7 @@ def _iv_round_out(iv: Interval) -> Interval:
 # witnesses: certified Q-algebraic root handles
 
 
-_region_registry: Dict[Tuple, Box] = {}
+_REGION_GRID = 64
 
 
 def _split_scaled_rootof(expr):
@@ -139,39 +143,86 @@ def _split_scaled_rootof(expr):
     raise AlgebraicError("unsupported root expression " + str(expr))
 
 
+def _integer_coeffs(qpoly: sympy.Poly) -> List[int]:
+    """Primitive integer multiple of qpoly's coefficients (descending), leading > 0."""
+    fracs = [_frac(c) for c in qpoly.all_coeffs()]
+    den = math.lcm(*(q.denominator for q in fracs))
+    ints = [int(q * den) for q in fracs]
+    content = math.gcd(*ints)
+    if ints[0] < 0:
+        content = -content
+    return [v // content for v in ints]
+
+
+def _sqrt_region(u: int, sign: int, d: int, den: int) -> Interval:
+    """(u + sign*sqrt(d))/den as a point if d is a square, else its closed
+    cell of the 1/64 grid; d > 0, den > 0."""
+    r = math.isqrt(d)
+    if r * r == d:
+        value = Fraction(u + sign * r, den)
+        return (value, value)
+    s = math.isqrt(d * _REGION_GRID**2)  # sqrt(64^2 d) lies strictly inside (s, s+1)
+    j = (_REGION_GRID * u + s) // den if sign > 0 else (_REGION_GRID * u - s - 1) // den
+    return (Fraction(j, _REGION_GRID), Fraction(j + 1, _REGION_GRID))
+
+
 class Witness:
-    """One root of a square-free Q[T] polynomial, with a refinable exact box."""
+    """One root of a square-free Q[T] polynomial, with a refinable exact box.
+
+    Roots of polynomials of degree 1 and 2 come from the closed form: with
+    integer coefficients a > 0, b, c and D = b^2 - 4ac, the root with index k
+    is (-b + (2k-1)*sqrt(D))/2a, and its box at precision p encloses sqrt|D|
+    in [s, s+1]/2^p with s = isqrt(|D|*4^p).  Higher degrees use sympy's
+    CRootOf isolation and bisection.  Both follow sympy's root order: real
+    roots ascending, then conjugate pairs with the lower half-plane first.
+    """
 
     __slots__ = (
-        "qpoly", "index", "_root", "_inner", "_scale", "rational", "_iv", "_is_real", "region",
+        "qpoly", "index", "rational", "_is_real", "_root", "_region",
+        "_quad", "_prec", "_box", "_inner", "_scale", "_iv",
     )
 
     def __init__(self, qpoly: sympy.Poly, index: int):
         self.qpoly = qpoly
         self.index = index
+        self.rational: Optional[Fraction] = None
+        self._root = None  # sympy value, built on demand for degree <= 2
+        self._region: Optional[Box] = None
+        self._quad: Optional[Tuple[int, int, int, int]] = None  # (a, b, D, sign of sqrt)
+        self._inner = None
+        if qpoly.degree() <= 2:
+            self._init_closed_form()
+            return
         root = sympy.CRootOf(qpoly, index, radicals=False)
         if root.is_Number:
             if not root.is_Rational:
                 raise AlgebraicError("unexpected non-rational evaluated root")
-            self.rational: Optional[Fraction] = _frac(sympy.Rational(root))
-            self._root = None
-            self._inner = None
-            self._scale = Fraction(1)
+            self.rational = _frac(sympy.Rational(root))
             self._is_real = True
-            self._iv = None
-        else:
-            self.rational = None
-            self._root = root
-            self._inner, self._scale = _split_scaled_rootof(root)
-            self._is_real = bool(root.is_real)
-            self._iv = self._inner._get_interval()
-        key = self._key()
-        if key not in _region_registry:
-            _region_registry[key] = self._canonical_region()
-        self.region = _region_registry[key]
+            return
+        self._root = root
+        self._inner, self._scale = _split_scaled_rootof(root)
+        self._is_real = bool(root.is_real)
+        self._iv = self._inner._get_interval()
 
-    def _key(self) -> Tuple:
-        return (tuple(self.qpoly.all_coeffs()), self.index)
+    def _init_closed_form(self):
+        coeffs = _integer_coeffs(self.qpoly)
+        if not 0 <= self.index < len(coeffs) - 1:
+            raise AlgebraicError(f"root index {self.index} out of range")
+        if len(coeffs) == 2:
+            self.rational = Fraction(-coeffs[1], coeffs[0])
+            self._is_real = True
+            return
+        a, b, c = coeffs
+        d = b * b - 4 * a * c
+        sign = 2 * self.index - 1
+        self._is_real = d > 0
+        if d > 0 and math.isqrt(d) ** 2 == d:
+            self.rational = Fraction(-b + sign * math.isqrt(d), 2 * a)
+            return
+        self._quad = (a, b, d, sign)
+        self._prec = 0
+        self._box: Optional[Box] = None
 
     def is_real(self) -> bool:
         return self._is_real
@@ -179,7 +230,28 @@ class Witness:
     def box(self) -> Box:
         if self.rational is not None:
             return _box_from_frac(self.rational)
-        iv = self._iv
+        if self._quad is not None:
+            if self._box is None:
+                self._box = self._quad_box()
+            return self._box
+        return self._interval_box(self._iv)
+
+    def _quad_box(self) -> Box:
+        a, b, d, sign = self._quad
+        p = self._prec
+        scaled = abs(d) << (2 * p)
+        s = math.isqrt(scaled)
+        lo, hi = (s, s) if s * s == scaled else (s, s + 1)
+        if sign < 0:
+            lo, hi = -hi, -lo
+        den = a << (p + 1)  # the box is (-b*2^p + [lo, hi]) / (2a*2^p)
+        if d > 0:
+            shift = -b << p
+            return (_iv_round_out((Fraction(shift + lo, den), Fraction(shift + hi, den))), _ZERO_IV)
+        centre = Fraction(-b, 2 * a)
+        return ((centre, centre), _iv_round_out((Fraction(lo, den), Fraction(hi, den))))
+
+    def _interval_box(self, iv) -> Box:
         s = self._scale
         if self._is_real:
             ends = (_frac(iv.a) * s, _frac(iv.b) * s)
@@ -192,23 +264,52 @@ class Witness:
         )
 
     def refine(self):
-        if self._inner is not None:
+        """Shrink the box: one more bit of sqrt|D|, or one sympy bisection step."""
+        if self._quad is not None:
+            self._prec += 1
+            self._box = None
+        elif self._inner is not None:
             self._iv = self._iv.refine()
 
-    def _canonical_region(self) -> Box:
-        while _box_width(self.box()) > Fraction(1, 64):
-            self.refine()
-        return self.box()
+    @property
+    def region(self) -> Box:
+        """A box determined by the root alone, for the debug format (memoised).
+
+        Closed form: each coordinate is its closed cell of the 1/64 grid, or
+        a point where it is rational.  Otherwise a fresh sympy isolating box
+        bisected to width 1/64.
+        """
+        if self._region is None:
+            self._region = self._compute_region()
+        return self._region
+
+    def _compute_region(self) -> Box:
+        if self.rational is not None:
+            return _box_from_frac(self.rational)
+        if self._quad is not None:
+            a, b, d, sign = self._quad
+            if d > 0:
+                return (_sqrt_region(-b, sign, d, 2 * a), _ZERO_IV)
+            centre = Fraction(-b, 2 * a)
+            return ((centre, centre), _sqrt_region(0, sign, -d, 2 * a))
+        iv = self._inner._get_interval()
+        while _box_width(self._interval_box(iv)) > Fraction(1, _REGION_GRID):
+            iv = iv.refine()
+        return self._interval_box(iv)
 
     def sympy_value(self):
         if self.rational is not None:
             return sympy.Rational(self.rational.numerator, self.rational.denominator)
+        if self._root is None:
+            self._root = sympy.CRootOf(self.qpoly, self.index, radicals=False)
         return self._root
 
     def conjugate_index(self) -> int:
         """Index (same qpoly) of the complex conjugate root."""
         if self.is_real():
             return self.index
+        if self._quad is not None:
+            return 1 - self.index
         # conjugate roots of a real polynomial are adjacent in sympy order,
         # lower half-plane first
         while True:
@@ -949,15 +1050,6 @@ def _re_equal_exact(a: RootHandle, b: RootHandle) -> bool:
         if c2.is_real():
             return c2.sign() < 0
         return False
-    wa, wb = a._witness, b._witness
-    if (
-        wa is not None
-        and wb is not None
-        and wa.qpoly == wb.qpoly
-        and not wa.is_real()
-        and wb.index == wa.conjugate_index()
-    ):
-        return True
     # delta = (a-b)^2 is a root of a resultant-built Q[T] polynomial;
     # Re(a) = Re(b) with a != b exactly when delta is real and negative
     A = a.qpoly()
@@ -1010,12 +1102,24 @@ def _locate_shadow(shadow, m: sympy.Poly) -> Witness:
     raise DecisionFailure("shadow location did not converge")
 
 
+def _conjugate_witnesses(a: RootHandle, b: RootHandle) -> bool:
+    """Exactly: a and b are the two roots of one conjugate pair of a Q[T] polynomial."""
+    wa, wb = a._witness, b._witness
+    return (
+        wa is not None
+        and wb is not None
+        and not wa.is_real()
+        and (wa.qpoly is wb.qpoly or wa.qpoly == wb.qpoly)
+        and wb.index == wa.conjugate_index()
+    )
+
+
 def _compare_roots(a: RootHandle, b: RootHandle) -> int:
     """-1/0/+1 in the (Re, Im) order; roots assumed distinct unless identical handles."""
     if a is b:
         return 0
-    re_known_equal = False
-    re_checked = False
+    re_known_equal = _conjugate_witnesses(a, b)
+    re_checked = re_known_equal
     for round_no in range(_REFINE_CAP):
         ab, bb = a.box(), b.box()
         if not re_known_equal:

@@ -1,4 +1,3 @@
-import re
 from fractions import Fraction as F
 
 import pytest
@@ -122,12 +121,10 @@ def test_adjoin_rational_root_gives_linear_level():
 
 
 def test_debug_format_shape_and_stability():
-    t = adjoin_root(RATIONAL_TOWER, [F(-2), F(0), F(1)], region(1, 2))
+    t = adjoin_root(RATIONAL_TOWER, [-2, 0, 1], region(1, 2))
     s = t.level_str(0)
-    assert re.fullmatch(
-        r"RootOf\(Z\^2 - 2, region=\[-?\d+(/\d+)?,-?\d+(/\d+)?\]x\[-?\d+(/\d+)?,-?\d+(/\d+)?\], index=\d+\)",
-        s,
-    )
+    # the region is the cell of the 1/64 grid holding sqrt(2), whatever ran before
+    assert s == "RootOf(Z^2 - 2, region=[45/32,91/64]x[0,0], index=1)"
     t.refine()
     assert t.level_str(0) == s  # region snapshot is not affected by refinement
     t2 = adjoin_root(RATIONAL_TOWER, [F(-2), F(0), F(1)], region(1, 2))

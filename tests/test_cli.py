@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from click.testing import CliRunner
 
+import quinsing
 from quinsing.cli import main
 
 runner = CliRunner()
@@ -150,3 +155,65 @@ def test_catalog_selfcheck():
     res = run("catalog", "selfcheck")
     assert res.exit_code == 0
     assert "selfcheck: ok" in res.output
+
+
+# A level-3 curve of the double-parabola sign sweep, and ten more curves of the
+# sweep.  While root regions were sympy's isolating boxes, the regions printed
+# for this curve's quadratic levels depended on the curves classified before
+# it in the same process and on the interpreter's hash seed.
+DEEP_SWEEP_CURVE = (
+    "4*x^5 - 7/2*x^4*y + 4*x^3*y^2 - 5*x^2*y^3 + 4*x*y^4 + 1/2*y^5 + x^4 + 15/2*x^3*y"
+    " - 4*x^2*y^2 + 7/2*x*y^3 - 4*y^4 + 2*x^2*y + 7/2*x*y^2 - y^3 + y^2"
+)
+OTHER_SWEEP_CURVES = [
+    "-x^5 + 5*x^4*y - 4*x^3*y^2 - 7*x^2*y^3 + x*y^4 + 5/2*y^5 + 2*x^3*y - 6*x^2*y^2"
+    " + 3*y^4 - x*y^2 + y^3",
+    "-x^5 + 5*x^4*y - 7*x^3*y^2 + 3*x^2*y^3 - 2*x*y^4 + 1/2*y^5 + 2*x^3*y - 6*x^2*y^2"
+    " + 3*x*y^3 - y^4 - x*y^2 + y^3",
+    "-x^5 + x^4*y + 3*x^3*y^2 - 2*x^2*y^3 + 5*x*y^4 + 3*y^5 + 2*x^3*y - 2*x^2*y^2"
+    " - 7/2*x*y^3 - 7/2*y^4 - x*y^2 + y^3",
+    "-x^5 + 6*x^4*y + x^3*y^2 + 5*x^2*y^3 - 1/2*x*y^4 - 5/2*y^5 + 2*x^3*y - 7*x^2*y^2"
+    " - 3*x*y^3 - 8*y^4 - x*y^2 + y^3",
+    "-5/2*x^4*y + 11/2*x^3*y^2 - 89/8*x^2*y^3 + 35/4*x*y^4 - 8*y^5 + x^4 - 3*x^3*y"
+    " + 5/4*x^2*y^2 - 1/2*x*y^3 - 9/2*y^4 + 2*x^2*y - 3*x*y^2 + 3/2*y^3 + y^2",
+    "-1/2*x^4*y + 69/4*x^3*y^2 + 1179/16*x^2*y^3 + 457/32*x*y^4 - 2707/16*y^5 + x^4"
+    " + 5*x^3*y - 1/4*x^2*y^2 + 7/2*x*y^3 + 35*y^4 + 2*x^2*y + 5*x*y^2 - 6*y^3 + y^2",
+    "x^4*y - 3*x^3*y^2 - 2*x^2*y^3 + 9/4*x*y^4 - 5/2*y^5 + x^4 + 1/2*x^2*y^2 - 3*x*y^3"
+    " - 23/16*y^4 + 2*x^2*y - 1/2*y^3 + y^2",
+    "5*x^4*y - 3/2*x^3*y^2 - 8*x^2*y^3 + 10*x*y^4 - 3*y^5 + x^4 + x^3*y + 25/4*x^2*y^2"
+    " - 7/2*x*y^3 - 2*y^4 + 2*x^2*y + x*y^2 + y^3 + y^2",
+    "3/2*x^4*y - 11/2*x^3*y^2 - 4*x^2*y^3 - 2*x*y^4 + 6*y^5 + x^4 - 2*x^3*y + 9/2*x^2*y^2"
+    " - 6*x*y^3 + 3*y^4 + 2*x^2*y - 2*x*y^2 + 2*y^3 + y^2",
+    "2*x^5 - 3*x^4*y + 9/4*x^3*y^2 + 4*x^2*y^3 + 5/2*x*y^4 - 2*y^5 + x^4 + 5*x^3*y"
+    " - 21/4*x^2*y^2 + 3*x*y^3 + y^4 + 2*x^2*y + 3*x*y^2 - 5/2*y^3 + y^2",
+]
+
+# classify the curves given before the last argument, then print the last one's
+# JSON report through the command line
+_CLASSIFY_AFTER_OTHERS = """
+import sys
+from fractions import Fraction
+from quinsing import classify_point, parse_poly
+from quinsing.cli import main
+for text in sys.argv[1:-1]:
+    classify_point(parse_poly(text), (Fraction(0), Fraction(0)), cap=Fraction(9))
+main(["classify", sys.argv[-1], "--point", "0,0", "--cap", "9", "--format", "json"])
+"""
+
+
+def _json_report_in_fresh_process(others, hash_seed):
+    src = str(Path(quinsing.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONHASHSEED=str(hash_seed))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _CLASSIFY_AFTER_OTHERS, *others, DEEP_SWEEP_CURVE],
+        capture_output=True, env=env, timeout=300, check=True,
+    )
+    return done.stdout
+
+
+def test_json_report_does_not_depend_on_process_history():
+    alone = _json_report_in_fresh_process([], hash_seed=0)
+    assert json.loads(alone)["reports"][0]["code"] == "(3:•,•|braces:•)"
+    for hash_seed in range(4):
+        assert _json_report_in_fresh_process(OTHER_SWEEP_CURVES, hash_seed) == alone
