@@ -15,7 +15,7 @@ from fractions import Fraction as F
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from quinsing.curve import parse_poly, format_poly, factor_rational, square_free_part
+from quinsing.curve import parse_poly, format_poly, factor_rational
 from quinsing.puiseux import expand_to_separation
 from quinsing.diagram import build_diagram, canonical_code
 from quinsing import families as fm
@@ -233,10 +233,10 @@ def main():
     bad = 0
     for rid, label, irr, red, rep, want, note in ROWS:
         f = parse_poly(rep)
-        _, had_multiple = square_free_part(f)
-        sf = not had_multiple
+        factors = factor_rational(f).factors
+        sf = all(m == 1 for _, m in factors)
         got = canonical_code(build_diagram(expand_to_separation(f)))
-        nfac = len(factor_rational(f).factors)
+        nfac = len(factors)
         ok = got == want and sf
         if irr and not red:
             ok = ok and nfac == 1

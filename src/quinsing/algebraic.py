@@ -879,14 +879,8 @@ def _is_real_impl(a: AlgebraicNumber) -> bool:
 def _minpoly_q(a: AlgebraicNumber) -> sympy.Poly:
     if "minpoly" in a._cache:
         return a._cache["minpoly"]  # type: ignore[return-value]
-    p = _T - _e_sympy(a.value, a.tower.depth)
-    for k in reversed(range(a.tower.depth)):
-        level = a.tower.levels[k]
-        dexpr = sympy.Integer(0)
-        for j, c in enumerate(level.defining):
-            dexpr += _e_sympy(c, k) * _GENS[k] ** j
-        p = sympy.resultant(p, dexpr, _GENS[k])
-    poly = sympy.Poly(sympy.sqf_part(sympy.Poly(p, _T)), _T)
+    one = _from_frac(Fraction(1), a.tower.depth, a.tower)
+    poly = _eliminate_to_q(a.tower, [_e_neg(a.value), one])
     # pick the irreducible factor vanishing at a (exact tower evaluation)
     _c, factors = sympy.factor_list(poly.as_expr(), _T)
     vanishing = None
@@ -904,56 +898,22 @@ def _minpoly_q(a: AlgebraicNumber) -> sympy.Poly:
     return vanishing
 
 
-def _locate_among_roots(a: AlgebraicNumber, m: sympy.Poly) -> Witness:
+def _locate_among_roots(source, m: sympy.Poly) -> Witness:
+    """The root of m whose box alone meets source's box.
+
+    source is anything with box() and refine(): an AlgebraicNumber, or a
+    _DiffSquareShadow.
+    """
     candidates = [Witness(m, k) for k in range(m.degree())]
     for _ in range(_REFINE_CAP):
-        ab = a.box()
-        hits = [w for w in candidates if _box_intersects(ab, w.box())]
+        sb = source.box()
+        hits = [w for w in candidates if _box_intersects(sb, w.box())]
         if len(hits) == 1:
             return hits[0]
-        a.refine()
+        source.refine()
         for w in hits:
             w.refine()
     raise DecisionFailure("root location did not converge")
-
-
-def is_real(a: AlgebraicNumber) -> bool:
-    return a.is_real()
-
-
-def compare_real(a: AlgebraicNumber, b: AlgebraicNumber) -> str:
-    """'less' | 'equal' | 'greater'; both arguments must be real."""
-    if not a.is_real() or not b.is_real():
-        raise AlgebraicError("compare_real requires real arguments")
-    try:
-        a2, b2 = a._lift(b)
-    except AlgebraicError:
-        return _compare_real_cross(a, b)
-    s = (a2 - b2).sign()
-    return {1: "greater", 0: "equal", -1: "less"}[s]
-
-
-def _compare_real_cross(a: AlgebraicNumber, b: AlgebraicNumber) -> str:
-    """Order reals from unrelated towers: boxes first, minpoly identity for ties."""
-    equal_known = False
-    for round_no in range(_REFINE_CAP):
-        (alo, ahi), _ = a.box()
-        (blo, bhi), _ = b.box()
-        if ahi < blo:
-            return "less"
-        if bhi < alo:
-            return "greater"
-        if not equal_known and round_no >= 16:
-            ma, mb = _minpoly_q(a), _minpoly_q(b)
-            if ma == mb:
-                wa = _locate_among_roots(a, ma)
-                wb = _locate_among_roots(b, mb)
-                if wa.index == wb.index:
-                    return "equal"
-            equal_known = True  # distinct values, boxes must separate
-        a.refine()
-        b.refine()
-    raise DecisionFailure("cross-tower comparison did not converge")
 
 
 # ---------------------------------------------------------------------------
@@ -1059,7 +1019,7 @@ def _re_equal_exact(a: RootHandle, b: RootHandle) -> bool:
     d2 = sympy.resultant(sympy.expand(d1).subs(t, z), z**2 - t, z)
     m = sympy.Poly(sympy.sqf_part(sympy.Poly(d2, t)).as_expr().subs(t, _T), _T)
     shadow = _DiffSquareShadow(a, b)
-    w = _locate_shadow(shadow, m)
+    w = _locate_among_roots(shadow, m)
     if not w.is_real():
         return False
     for _ in range(_REFINE_CAP):
@@ -1087,19 +1047,6 @@ class _DiffSquareShadow:
     def refine(self):
         self.a.refine()
         self.b.refine()
-
-
-def _locate_shadow(shadow, m: sympy.Poly) -> Witness:
-    candidates = [Witness(m, k) for k in range(m.degree())]
-    for _ in range(_REFINE_CAP):
-        sb = shadow.box()
-        hits = [w for w in candidates if _box_intersects(sb, w.box())]
-        if len(hits) == 1:
-            return hits[0]
-        shadow.refine()
-        for w in hits:
-            w.refine()
-    raise DecisionFailure("shadow location did not converge")
 
 
 def _conjugate_witnesses(a: RootHandle, b: RootHandle) -> bool:
@@ -1242,62 +1189,6 @@ def _roots_of_squarefree(tower: Tower, factor: List[Elem], mult: int) -> List[Ro
         new_tower = Tower(tower.levels + (level,))
         out.append(RootHandle(new_tower.generator(), mult, w))
     return out
-
-
-def adjoin_root(tower: Tower, coeffs: Sequence, region: Box) -> Tower:
-    """Extend the tower by the unique root of `coeffs` inside `region`.
-
-    Errors if the polynomial is not square-free over the tower or the region
-    fails to isolate exactly one root.
-    """
-    elems: List[Elem] = []
-    for c in coeffs:
-        if isinstance(c, AlgebraicNumber):
-            elems.append(tower.zero()._coerce(c).value)
-        else:
-            elems.append(_from_frac(Fraction(c), tower.depth, tower))
-    p = _poly_normalize(elems, tower)
-    if len(p) < 2:
-        raise AlgebraicError("cannot adjoin a root of a constant")
-    dp = _poly_derivative(p, tower)
-    if len(_poly_gcd(p, dp, tower)) > 1:
-        raise AlgebraicError("polynomial is not square-free over the tower")
-    roots = roots_over(tower, [AlgebraicNumber(tower, e) for e in p])
-    chosen = []
-    for number, _m in roots:
-        side = _region_side(number, region)
-        if side == "inside":
-            chosen.append(number)
-    if len(chosen) != 1:
-        raise AlgebraicError(
-            f"region isolates {len(chosen)} roots, need exactly 1"
-        )
-    target = chosen[0]
-    if target.tower.depth == tower.depth:
-        # the chosen root already lies in the tower; adjoin a linear level
-        one = _from_frac(Fraction(1), tower.depth, tower)
-        defining = (_e_neg(target.value), one)
-        rational = target.is_rational()
-        if rational is not None:
-            qpoly = sympy.Poly(_T - sympy.Rational(rational.numerator, rational.denominator), _T)
-            w = Witness(qpoly, 0)
-        else:
-            qpoly = _minpoly_q(target)
-            w = _locate_among_roots(target, qpoly)
-        return Tower(tower.levels + (Level(defining, w, 0),))
-    return target.tower
-
-
-def _region_side(number: AlgebraicNumber, region: Box) -> str:
-    (qrlo, qrhi), (qilo, qihi) = region
-    for _ in range(_REFINE_CAP):
-        (rlo, rhi), (ilo, ihi) = number.box()
-        if rlo >= qrlo and rhi <= qrhi and ilo >= qilo and ihi <= qihi:
-            return "inside"
-        if rhi < qrlo or rlo > qrhi or ihi < qilo or ilo > qihi:
-            return "outside"
-        number.refine()
-    raise AlgebraicError("root lies on the region boundary (region too tight)")
 
 
 def conjugate_pairs(

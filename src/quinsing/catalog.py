@@ -13,7 +13,7 @@ from importlib import resources
 import json
 from typing import Dict, Optional, Tuple
 
-from .curve import BiPoly, parse_poly, factor_rational, square_free_part
+from .curve import BiPoly, parse_poly, factor_rational
 from .diagram import Diagram, build_diagram, canonical_code
 from .puiseux import expand_to_separation
 
@@ -126,10 +126,10 @@ def self_check(cap: Fraction = Fraction(8)) -> dict:
             continue
         if got != c.code:
             failures.append({"id": c.id, "error": f"code {got} != stored {c.code}"})
-        _, had_multiple = square_free_part(c.representative)
-        if had_multiple:
+        factors = factor_rational(c.representative).factors
+        if any(m > 1 for _, m in factors):
             failures.append({"id": c.id, "error": "representative not square-free"})
-        nfac = len(factor_rational(c.representative).factors)
+        nfac = len(factors)
         if c.irreducible and nfac != 1:
             failures.append({"id": c.id, "error": "irreducible-flagged rep factors over Q"})
         if c.reducible and not c.irreducible and nfac < 2:

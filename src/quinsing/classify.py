@@ -5,9 +5,10 @@ guard, expansion, diagram building, and catalog lookup all delegate to the
 other modules.
 """
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import sympy
 
@@ -19,7 +20,6 @@ from .curve import (
     linear_change,
     multiplicity_at_origin,
     resultant,
-    square_free_part,
     tangent_cone,
     to_sympy,
     translate,
@@ -27,7 +27,7 @@ from .curve import (
 from .newton import polygon_json
 from .puiseux import ProBranch, branch_json, expand_to_separation
 from .diagram import Diagram, build_diagram, canonical_code
-from .catalog import NotInCatalog, SingularityClass, classify_diagram
+from .catalog import SingularityClass, classify_diagram
 
 
 class ClassifyError(CurveError):
@@ -125,8 +125,14 @@ def _q_factors(f: BiPoly) -> List[Tuple[BiPoly, int]]:
     return out
 
 
-def _ensure_square_free(f: BiPoly):
-    factors = _q_factors(f)
+@functools.lru_cache(maxsize=1)
+def _ensure_square_free(f: BiPoly) -> Tuple[Tuple[BiPoly, int], ...]:
+    """The Q-factors of f, refusing a repeated one.
+
+    Memoised on the last curve, so that rational_singular_points and every
+    classify_point of one classify_all share a single factorization.
+    """
+    factors = tuple(_q_factors(f))
     if any(m > 1 for _, m in factors):
         raise ClassifyError("multiple component: curve is not square-free")
     return factors
@@ -235,11 +241,6 @@ def classify_point(
     result = classify_diagram(
         diagram, {"curve_degree": f.total_degree(), "q_irreducible": q_irr}
     )
-    warnings = []
-    if len(branches) != m:
-        warnings.append(
-            f"branch count {len(branches)} differs from multiplicity {m} (internal)"
-        )
     return ClassificationReport(
         input=format_poly(f),
         point=p,
@@ -255,7 +256,6 @@ def classify_point(
         q_factors=tuple((format_poly(q), mult) for q, mult in factors),
         q_irreducible=q_irr,
         cap=Fraction(cap),
-        warnings=tuple(warnings),
     )
 
 

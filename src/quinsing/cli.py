@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import click
 
-from .curve import CurveError, FactorList, factor_rational, format_poly, parse_poly
+from .curve import CurveError, factor_rational, format_poly, parse_poly
 from .newton import polygon_json
 from .puiseux import branch_json, display_jet, expand_to_separation
 from .diagram import build_diagram, canonical_code, render_ascii, to_json as diagram_to_json

@@ -10,7 +10,7 @@ suppressed when both partners are real-representable on their own.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -145,10 +145,6 @@ def canonical_code_of(node: Node) -> str:
 
 def canonical_code(d: Diagram) -> str:
     return canonical_code_of(d.root)
-
-
-def equals(d1: Diagram, d2: Diagram) -> bool:
-    return canonical_code(d1) == canonical_code(d2)
 
 
 # ---------------------------------------------------------------------------

@@ -94,16 +94,9 @@ def polygon_of_support(support: Sequence[Point]) -> NewtonPolygon:
 
 
 def newton_polygon(f: BiPoly) -> NewtonPolygon:
-    if f.is_zero():
-        raise NewtonError("zero polynomial has no Newton polygon")
     if f.coeff(0, 0) != 0:
         raise NewtonError("the origin is not on the curve")
-    pts = sorted(f.terms)
-    if min(i for i, _ in pts) > 0:
-        raise NewtonError("divisible by x: vertical line component at the origin")
-    if len(pts) == 1 and pts[0][0] == 0:
-        raise NewtonError("pure power of y: no remaining support")
-    return polygon_of_support(pts)
+    return polygon_of_support(f.terms)
 
 
 def segment_poly_coeffs(terms: Dict[Point, object], seg: Segment, zero):
@@ -137,26 +130,6 @@ def has_multiple_root(coeffs: Sequence, tower) -> bool:
     dp = algebraic._poly_derivative(p, tower)
     g = algebraic._poly_gcd(p, dp, tower)
     return len(g) > 1
-
-
-def format_segment_poly(coeffs: Sequence[Fraction]) -> str:
-    terms = []
-    for k in reversed(range(len(coeffs))):
-        c = coeffs[k]
-        if c == 0:
-            continue
-        if k == 0:
-            body = str(abs(c))
-        else:
-            z = "Z" if k == 1 else f"Z^{k}"
-            body = z if abs(c) == 1 else f"{abs(c)}*{z}"
-        terms.append((c < 0, body))
-    if not terms:
-        return "0"
-    out = ("-" if terms[0][0] else "") + terms[0][1]
-    for negative, body in terms[1:]:
-        out += (" - " if negative else " + ") + body
-    return out
 
 
 def polygon_json(f: BiPoly) -> dict:

@@ -142,7 +142,7 @@ _dir_cache: Dict[int, List[Witness]] = {}
 
 
 def _unit_directions(m: int) -> List[Witness]:
-    """Witnesses for e^(2*pi*i*n/(2m))... indexed by n: root exp(i*pi*n*2/m)?"""
+    """Witnesses of the roots of T^m - 1: entry n is exp(2*pi*i*n/m)."""
     if m in _dir_cache:
         return _dir_cache[m]
     t = sympy.Symbol("T")
@@ -371,26 +371,21 @@ def contact_exponent(b1: ProBranch, b2: ProBranch) -> Fraction:
     raise PuiseuxError("identical branches have no contact exponent (internal bug)")
 
 
-def branch_jet(b: ProBranch, through: Optional[Fraction] = None):
-    """Stored terms plus already-computed tail, optionally filtered."""
+def _extended(b: ProBranch, steps: int) -> Tuple[List[Tuple[Fraction, AlgebraicNumber]], bool]:
+    """(jet terms of b plus up to `steps` more, whether the expansion ran out)."""
     items = [(t.exponent, t.coeff) for t in b.terms] + list(b._tail)
-    if through is not None:
-        items = [(e, c) for e, c in items if e <= through]
-    return items
+    state = b._state
+    for _ in range(steps):
+        term, state = _advance(state)
+        if term is None:
+            return items, True
+        items.append(term)
+    return items, False
 
 
 def extend_jet(b: ProBranch, steps: int) -> List[Tuple[Fraction, AlgebraicNumber]]:
     """Jet terms of b extended by `steps` more expansion steps (nonzero terms)."""
-    items = [(t.exponent, t.coeff) for t in b.terms] + list(b._tail)
-    state = b._state
-    emitted = 0
-    while emitted < steps:
-        term, state = _advance(state)
-        if term is None:
-            break
-        items.append(term)
-        emitted += 1
-    return items
+    return _extended(b, steps)[0]
 
 
 def display_jet(b: ProBranch) -> List[Tuple[Fraction, AlgebraicNumber]]:
@@ -403,19 +398,7 @@ def display_jet(b: ProBranch) -> List[Tuple[Fraction, AlgebraicNumber]]:
 
 def residual_valuation(f: BiPoly, b: ProBranch, extra: int) -> Union[Fraction, float]:
     """ord_x f(x, jet(x)) after extending b by `extra` steps; inf when exact."""
-    if b._run is None:
-        raise PuiseuxError("branch lacks expansion state")
-    items = [(t.exponent, t.coeff) for t in b.terms] + list(b._tail)
-    state = b._state
-    emitted = 0
-    exhausted = False
-    while emitted < extra:
-        term, state = _advance(state)
-        if term is None:
-            exhausted = True
-            break
-        items.append(term)
-        emitted += 1
+    items, exhausted = _extended(b, extra)
     if exhausted:
         return INFINITE_ORDER
     return _jet_order(f, items)

@@ -128,3 +128,20 @@ def test_not_in_catalog_for_high_degree_input():
     r = classify_point(parse_poly("y^2 - x^7"), (0, 0))
     assert isinstance(r.catalog_result, NotInCatalog)
     assert "degree" in r.catalog_result.reason
+
+
+def test_classify_all_factors_the_curve_once(monkeypatch):
+    import quinsing.classify as classify_mod
+
+    calls = []
+    real = classify_mod.factor_rational
+
+    def counting(f):
+        calls.append(f)
+        return real(f)
+
+    monkeypatch.setattr(classify_mod, "factor_rational", counting)
+    classify_mod._ensure_square_free.cache_clear()
+    reports = classify_all(parse_poly("(y^2 - x)*(x^2 - y)"))
+    assert [r.point for r in reports] == [(0, 0), (1, 1)]
+    assert len(calls) == 1

@@ -11,7 +11,6 @@ from quinsing.newton import (
     polygon_json,
     polygon_of_support,
     segment_data,
-    format_segment_poly,
 )
 
 
@@ -38,7 +37,6 @@ def test_segment_poly_sign():
     f = parse_poly("y^2 - x^5")
     d = segment_data(f, newton_polygon(f).segments[0])
     assert d.segment_poly == (F(-1), F(0), F(1))
-    assert format_segment_poly(d.segment_poly) == "Z^2 - 1"
 
 
 def test_two_segments_with_ascending_exponents():
