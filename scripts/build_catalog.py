@@ -2,8 +2,8 @@
 
 Every row is re-verified before writing: the representative is parsed,
 expanded through the Puiseux pipeline, and its canonical diagram code must
-match the stored code; the rational factor count must agree with the
-applicability flags.  Output goes to src/quinsing/data/catalog.json.
+match the stored code; its degree must be at most 5, and the rational factor
+count must agree with the applicability flags.  Output goes to src/quinsing/data/catalog.json.
 
 Run from the repo root:  python3 scripts/build_catalog.py
 """
@@ -138,7 +138,7 @@ ROWS = [
     (31, "J_11", False, True, "y*((y+x^2)^2 + x^3*y)",
      "(2:(5/2:•,•|braces:),•|braces:)",
      "line times level-5/2 member of the (y+x^2)^2 family"),
-    (32, "J_12", False, True, "y*(y-x^2-x^3)*(y-x^2+x^3)",
+    (32, "J_12", False, True, "y*((y+x^2)^2 - x^2*y^2)",
      "(2:(3:•,•|braces:),•|braces:)",
      "line times level-3 (real side) pair"),
     (33, "J*_12", False, True, "y*((y+x^2)^2 + x^2*y^2)",
@@ -237,7 +237,7 @@ def main():
         sf = all(m == 1 for _, m in factors)
         got = canonical_code(build_diagram(expand_to_separation(f)))
         nfac = len(factors)
-        ok = got == want and sf
+        ok = got == want and sf and f.total_degree() <= 5
         if irr and not red:
             ok = ok and nfac == 1
         if red and not irr:

@@ -16,6 +16,12 @@ ordering) are exact.  Defining polynomials are square-free but not
 necessarily irreducible; zero tests fall back to a gcd split decided by
 locating the selected root (dynamic evaluation).  Towers are never
 mutated; refinement state lives in caches.
+
+sympy is reached through Poly objects in T over QQ built from coefficients
+(`curve.q_poly`), read back through `curve._frac`: factoring over Q,
+minimal polynomials and CRootOf witnesses.  Only the resultant cascades of
+`_eliminate_to_q` (elimination through a tower's defining polynomials) and
+`_re_equal_exact` (the difference-square polynomial) build sympy expressions.
 """
 
 from __future__ import annotations
@@ -27,9 +33,10 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import sympy
 
+from .curve import _T, _frac, q_poly
+
 Rat = Fraction
 
-_T = sympy.Symbol("T")
 _GENS = [sympy.Symbol(f"Z{k}") for k in range(1, 9)]
 
 _REFINE_CAP = 240
@@ -102,11 +109,6 @@ def _box_width(b: Box) -> Fraction:
     return max(b[0][1] - b[0][0], b[1][1] - b[1][0])
 
 
-def _frac(v) -> Fraction:
-    # sympy Rational or gmpy mpq or int
-    return Fraction(int(v.numerator), int(v.denominator))
-
-
 def _iv_round_out(iv: Interval) -> Interval:
     """Round endpoints outward to dyadics so fraction sizes stay bounded."""
     lo, hi = iv
@@ -139,7 +141,7 @@ def _split_scaled_rootof(expr):
     if expr.is_Mul:
         coeff, rest = expr.as_coeff_Mul()
         if coeff.is_Rational and isinstance(rest, sympy.CRootOf):
-            return rest, _frac(sympy.Rational(coeff))
+            return rest, _frac(coeff)
     raise AlgebraicError("unsupported root expression " + str(expr))
 
 
@@ -178,7 +180,7 @@ class Witness:
     """
 
     __slots__ = (
-        "qpoly", "index", "rational", "_is_real", "_root", "_region",
+        "qpoly", "index", "rational", "_is_real", "_region",
         "_quad", "_prec", "_box", "_inner", "_scale", "_iv",
     )
 
@@ -186,7 +188,6 @@ class Witness:
         self.qpoly = qpoly
         self.index = index
         self.rational: Optional[Fraction] = None
-        self._root = None  # sympy value, built on demand for degree <= 2
         self._region: Optional[Box] = None
         self._quad: Optional[Tuple[int, int, int, int]] = None  # (a, b, D, sign of sqrt)
         self._inner = None
@@ -197,10 +198,9 @@ class Witness:
         if root.is_Number:
             if not root.is_Rational:
                 raise AlgebraicError("unexpected non-rational evaluated root")
-            self.rational = _frac(sympy.Rational(root))
+            self.rational = _frac(root)
             self._is_real = True
             return
-        self._root = root
         self._inner, self._scale = _split_scaled_rootof(root)
         self._is_real = bool(root.is_real)
         self._iv = self._inner._get_interval()
@@ -296,13 +296,6 @@ class Witness:
         while _box_width(self._interval_box(iv)) > Fraction(1, _REGION_GRID):
             iv = iv.refine()
         return self._interval_box(iv)
-
-    def sympy_value(self):
-        if self.rational is not None:
-            return sympy.Rational(self.rational.numerator, self.rational.denominator)
-        if self._root is None:
-            self._root = sympy.CRootOf(self.qpoly, self.index, radicals=False)
-        return self._root
 
     def conjugate_index(self) -> int:
         """Index (same qpoly) of the complex conjugate root."""
@@ -639,13 +632,6 @@ class AlgebraicNumber:
     def refine(self):
         self.tower.refine()
 
-    def sympy_value(self) -> sympy.Expr:
-        expr = _e_sympy(self.value, self.tower.depth)
-        subs = {}
-        for k in reversed(range(self.tower.depth)):
-            subs[_GENS[k]] = self.tower.levels[k].witness.sympy_value()
-        return expr.xreplace(subs)
-
     def is_real(self) -> bool:
         if "real" not in self._cache:
             self._cache["real"] = _is_real_impl(self)
@@ -882,13 +868,11 @@ def _minpoly_q(a: AlgebraicNumber) -> sympy.Poly:
     one = _from_frac(Fraction(1), a.tower.depth, a.tower)
     poly = _eliminate_to_q(a.tower, [_e_neg(a.value), one])
     # pick the irreducible factor vanishing at a (exact tower evaluation)
-    _c, factors = sympy.factor_list(poly.as_expr(), _T)
     vanishing = None
-    for base, _mult in factors:
-        fp = sympy.Poly(base, _T)
+    for fp, _mult in poly.factor_list()[1]:
         acc = a.tower.zero()
         for coeff in fp.all_coeffs():
-            acc = acc * a + Fraction(int(sympy.Rational(coeff).p), int(sympy.Rational(coeff).q))
+            acc = acc * a + _frac(coeff)
         if acc.is_zero():
             vanishing = fp.monic()
             break
@@ -947,7 +931,7 @@ class RootHandle:
             return self._witness.qpoly
         r = self.number.is_rational()
         if r is not None:
-            return sympy.Poly(_T - sympy.Rational(r.numerator, r.denominator), _T)
+            return q_poly([-r, Fraction(1)])
         return _minpoly_q(self.number)
 
 
@@ -1155,26 +1139,12 @@ def _roots_of_squarefree(tower: Tower, factor: List[Elem], mult: int) -> List[Ro
         return [RootHandle(root, mult, None)]
     if tower.depth == 0:
         # factor over Q so rational roots stay rational and definings are irreducible
-        expr = sum(
-            sympy.Rational(c.numerator, c.denominator) * _T**j
-            for j, c in enumerate(factor)
-        )
-        _u, qfactors = sympy.factor_list(expr, _T)
-        for base, _m in qfactors:
-            fp = sympy.Poly(base, _T)
-            fcoeffs = [
-                Fraction(int(sympy.Rational(c).p), int(sympy.Rational(c).q))
-                for c in reversed(fp.all_coeffs())
-            ]
-            if len(fcoeffs) == 2:
-                out.append(RootHandle(tower.from_rat(-fcoeffs[0] / fcoeffs[1]), mult, None))
+        for fp, _m in q_poly(factor).factor_list()[1]:
+            qpoly = fp.monic()
+            defining = tuple(_frac(c) for c in reversed(qpoly.all_coeffs()))
+            if len(defining) == 2:
+                out.append(RootHandle(tower.from_rat(-defining[0]), mult, None))
                 continue
-            monic = [c / fcoeffs[-1] for c in fcoeffs]
-            defining = tuple(monic)
-            qpoly = sympy.Poly(
-                sum(sympy.Rational(c.numerator, c.denominator) * _T**j for j, c in enumerate(monic)),
-                _T,
-            )
             for k in range(qpoly.degree()):
                 w = Witness(qpoly, k)
                 level = Level(defining, w, k)

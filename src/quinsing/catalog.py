@@ -112,7 +112,9 @@ def self_check(cap: Fraction = Fraction(8)) -> dict:
     Checks per row: pipeline code equals the stored code, the representative
     is square-free, and its rational factor count matches the stored flags
     (single-flag rows must witness their flag; dual-flag rows store the
-    irreducible instance).  Also checks global counts, pairwise code
+    irreducible instance).  The representative has degree at most 5, and
+    the lookup of its diagram, with its degree and factor count, returns the
+    row itself.  Also checks global counts, pairwise code
     distinctness, and that the two multiplicity-4 pair-of-pairs types (real
     pairs vs conjugate pairs at 3/2) are distinct rows.
     """
@@ -120,10 +122,11 @@ def self_check(cap: Fraction = Fraction(8)) -> dict:
     classes = _load()
     for c in classes:
         try:
-            got = canonical_code(build_diagram(expand_to_separation(c.representative, cap=cap)))
+            diagram = build_diagram(expand_to_separation(c.representative, cap=cap))
         except Exception as exc:  # report, keep going
             failures.append({"id": c.id, "error": f"pipeline: {exc}"})
             continue
+        got = canonical_code(diagram)
         if got != c.code:
             failures.append({"id": c.id, "error": f"code {got} != stored {c.code}"})
         factors = factor_rational(c.representative).factors
@@ -134,6 +137,12 @@ def self_check(cap: Fraction = Fraction(8)) -> dict:
             failures.append({"id": c.id, "error": "irreducible-flagged rep factors over Q"})
         if c.reducible and not c.irreducible and nfac < 2:
             failures.append({"id": c.id, "error": "reducible-only rep is Q-irreducible"})
+        degree = c.representative.total_degree()
+        if degree > 5:
+            failures.append({"id": c.id, "error": f"representative has degree {degree} > 5"})
+        found = classify_diagram(diagram, {"curve_degree": degree, "q_irreducible": nfac == 1})
+        if found != c:
+            failures.append({"id": c.id, "error": f"lookup of the representative gives {found}"})
 
     codes = [c.code for c in classes]
     n_irr = sum(1 for c in classes if c.irreducible)

@@ -6,19 +6,21 @@ other modules.
 """
 
 import functools
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
-import sympy
-
 from .curve import (
     BiPoly,
     CurveError,
+    _frac,
     factor_rational,
     format_poly,
+    from_sympy,
     linear_change,
     multiplicity_at_origin,
+    q_poly,
     resultant,
     tangent_cone,
     to_sympy,
@@ -44,85 +46,35 @@ IRRATIONAL_WARNING = (
 # rational singular point location
 
 
-def _univariate_rational_roots(coeffs: Sequence[Fraction]) -> List[Fraction]:
+def _rational_roots(coeffs: Sequence[Fraction]) -> List[Fraction]:
     """Rational roots of sum(coeffs[k] * t^k); input need not be normalized."""
-    while coeffs and coeffs[-1] == 0:
-        coeffs = coeffs[:-1]
-    if not coeffs or len(coeffs) == 1:
-        return []
-    t = sympy.Symbol("t")
-    poly = sympy.Poly(
-        sum(sympy.Rational(c.numerator, c.denominator) * t**k for k, c in enumerate(coeffs)),
-        t,
-    )
-    roots = []
-    for r, _mult in poly.ground_roots().items():
-        q = sympy.Rational(r)
-        roots.append(Fraction(int(q.p), int(q.q)))
-    return sorted(roots)
+    if not any(coeffs[1:]):
+        return []  # constant or zero
+    return sorted(_frac(r) for r in q_poly(coeffs).ground_roots())
 
 
-def _univariate_in(g: BiPoly, var: str, value: Fraction) -> List[Fraction]:
-    """Coefficient list of g with `var` fixed, as a polynomial in the other."""
-    out = []
-    for c in g.coeffs_in("y" if var == "x" else "x"):
-        out.append(c.eval_at(value, value))  # c involves one variable only
-    return out
+def _common_zeros(g: BiPoly, h: BiPoly, others: Sequence[BiPoly], zero_resultant: str) -> set:
+    """Rational common zeros of g, h and others; g must involve y.
 
-
-def _points_of_pair(g1: BiPoly, g2: BiPoly) -> set:
-    """Rational common zeros of two coprime polynomials."""
-    if g1.degree_in("y") == 0 and g2.degree_in("y") == 0:
-        return set()  # distinct irreducibles in x alone share no roots
-    if g1.degree_in("y") == 0:
-        g1, g2 = g2, g1
-    pts = set()
-    if g2.degree_in("y") == 0:
-        for x0 in _univariate_rational_roots([c.eval_at(0, 0) for c in g2.coeffs_in("x")]):
-            for y0 in _univariate_rational_roots(_univariate_in(g1, "x", x0)):
-                pts.add((x0, y0))
-        return pts
-    rx = resultant(g1, g2, "y")
+    The x-coordinates are the rational roots of Res_y(g, h), the
+    y-coordinates those of g(x0, y).  A zero resultant raises ClassifyError
+    with the message `zero_resultant`.
+    """
+    rx = resultant(g, h, "y")
     if rx.is_zero():
-        raise ClassifyError("common factor between supposedly coprime factors")
-    for x0 in _univariate_rational_roots([c.eval_at(0, 0) for c in rx.coeffs_in("x")]):
-        for y0 in _univariate_rational_roots(_univariate_in(g1, "x", x0)):
-            if g2.eval_at(x0, y0) == 0:
+        raise ClassifyError(zero_resultant)
+    pts = set()
+    for x0 in _rational_roots([c.coeff(0, 0) for c in rx.coeffs_in("x")]):
+        for y0 in _rational_roots([c.eval_at(x0, 0) for c in g.coeffs_in("y")]):
+            if all(p.eval_at(x0, y0) == 0 for p in (h, *others)):
                 pts.add((x0, y0))
     return pts
 
 
-def _singular_points_of_factor(g: BiPoly) -> set:
-    if g.total_degree() <= 1:
-        return set()
-    gx = g.partial("x")
-    gy = g.partial("y")
-    pts = set()
-    if g.degree_in("y") == 0:
-        # irreducible in x alone with degree >= 2: no rational zeros at all
-        return set()
-    rx = resultant(g, gy, "y")
-    if rx.is_zero():
-        raise ClassifyError("square-free factor shares a root with its y-derivative")
-    for x0 in _univariate_rational_roots([c.eval_at(0, 0) for c in rx.coeffs_in("x")]):
-        for y0 in _univariate_rational_roots(_univariate_in(g, "x", x0)):
-            if gx.eval_at(x0, y0) == 0 and gy.eval_at(x0, y0) == 0:
-                pts.add((x0, y0))
-    return pts
-
-
-def _q_factors(f: BiPoly) -> List[Tuple[BiPoly, int]]:
+def _q_factors(f: BiPoly) -> Tuple[Tuple[BiPoly, int], ...]:
     if f.total_degree() <= 8:
-        return list(factor_rational(f).factors)
-    _unit, raw = sympy.factor_list(to_sympy(f))
-    out = []
-    for base, mult in raw:
-        from .curve import from_sympy
-
-        poly = from_sympy(base)
-        if poly.total_degree() > 0:
-            out.append((poly, int(mult)))
-    return out
+        return factor_rational(f).factors
+    return tuple((from_sympy(base), int(mult)) for base, mult in to_sympy(f).factor_list()[1])
 
 
 @functools.lru_cache(maxsize=1)
@@ -132,7 +84,7 @@ def _ensure_square_free(f: BiPoly) -> Tuple[Tuple[BiPoly, int], ...]:
     Memoised on the last curve, so that rational_singular_points and every
     classify_point of one classify_all share a single factorization.
     """
-    factors = tuple(_q_factors(f))
+    factors = _q_factors(f)
     if any(m > 1 for _, m in factors):
         raise ClassifyError("multiple component: curve is not square-free")
     return factors
@@ -144,14 +96,21 @@ def rational_singular_points(f: BiPoly) -> List[Tuple[Fraction, Fraction]]:
     Points with irrational or non-real coordinates are not searched for; see
     IRRATIONAL_WARNING.
     """
-    factors = _ensure_square_free(f)
-    gs = [g for g, _ in factors]
+    gs = [g for g, _ in _ensure_square_free(f)]
     pts = set()
     for g in gs:
-        pts |= _singular_points_of_factor(g)
-    for i in range(len(gs)):
-        for j in range(i + 1, len(gs)):
-            pts |= _points_of_pair(gs[i], gs[j])
+        # a line is smooth, and an irreducible factor in x alone of degree >= 2
+        # has no rational zeros at all
+        if g.total_degree() > 1 and g.degree_in("y") > 0:
+            pts |= _common_zeros(
+                g, g.partial("y"), [g.partial("x")],
+                "square-free factor shares a root with its y-derivative",
+            )
+    for g1, g2 in itertools.combinations(gs, 2):
+        if g1.degree_in("y") == 0:
+            g1, g2 = g2, g1
+        if g1.degree_in("y") > 0:  # distinct irreducibles in x alone share no roots
+            pts |= _common_zeros(g1, g2, [], "common factor between supposedly coprime factors")
     return sorted(pts)
 
 

@@ -1,15 +1,20 @@
-"""Exact bivariate polynomial arithmetic over Q.
+"""Exact bivariate polynomial arithmetic over Q, and the bridge to sympy.
 
 Polynomials are sparse maps (i, j) -> Fraction for the monomial x^i y^j.
 Everything here is exact rational arithmetic; there is no floating point
-in this module.  Factorization and square-free parts delegate to sympy
-(the Maple-`factor` replacement), everything else is implemented directly.
+in this module.  Factorization delegates to sympy (the Maple-`factor`
+replacement), everything else is implemented directly.
+
+sympy's polynomial algebra is reached only through `Poly` objects over QQ
+built straight from coefficients: `to_sympy` for x, y and `q_poly` for T.
+Results are read back from the Poly's coefficients through `_frac`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Dict, List, Sequence, Tuple
 
 import sympy
@@ -17,7 +22,7 @@ import sympy
 Rat = Fraction
 Monomial = Tuple[int, int]
 
-_SX, _SY = sympy.symbols("x y")
+_SX, _SY, _T = sympy.symbols("x y T")
 
 
 class CurveError(ValueError):
@@ -384,23 +389,33 @@ def _substitute(f: BiPoly, xs: BiPoly, ys: BiPoly) -> BiPoly:
 
 
 # ---------------------------------------------------------------------------
-# sympy bridge, factorization
+# the sympy bridge, factorization
 
 
-def to_sympy(f: BiPoly):
-    expr = sympy.Integer(0)
-    for (i, j), c in f.terms.items():
-        expr += sympy.Rational(c.numerator, c.denominator) * _SX**i * _SY**j
-    return expr
+def _frac(v) -> Fraction:
+    """A sympy Rational, a ground-domain rational or an int as a Fraction."""
+    return Fraction(int(v.numerator), int(v.denominator))
 
 
-def from_sympy(expr) -> BiPoly:
-    poly = sympy.Poly(sympy.expand(expr), _SX, _SY)
-    out: Dict[Monomial, Fraction] = {}
-    for (i, j), c in poly.terms():
-        cq = sympy.Rational(c)
-        out[(int(i), int(j))] = Fraction(int(cq.p), int(cq.q))
-    return BiPoly(out)
+def _qq(c: Fraction):
+    return sympy.QQ(c.numerator, c.denominator)
+
+
+def to_sympy(f: BiPoly) -> sympy.Poly:
+    """f as a sympy Poly in x, y over QQ."""
+    return sympy.Poly.from_dict(
+        {m: _qq(c) for m, c in f.terms.items()}, _SX, _SY, domain=sympy.QQ
+    )
+
+
+def from_sympy(p: sympy.Poly) -> BiPoly:
+    """A sympy Poly in x, y as a BiPoly; the inverse of to_sympy."""
+    return BiPoly({(int(i), int(j)): _frac(c) for (i, j), c in p.terms()})
+
+
+def q_poly(coeffs: Sequence[Fraction]) -> sympy.Poly:
+    """sum(coeffs[k] * T^k) as a sympy Poly in T over QQ."""
+    return sympy.Poly.from_list([_qq(c) for c in reversed(coeffs)], _T, domain=sympy.QQ)
 
 
 @dataclass(frozen=True)
@@ -422,8 +437,6 @@ def _normalize_factor(p: BiPoly) -> Tuple[BiPoly, Fraction]:
     """
     lead = min(p.terms, key=_term_key)
     coeffs = list(p.terms.values())
-    from math import gcd
-
     num_gcd = 0
     den_lcm = 1
     for c in coeffs:
@@ -441,16 +454,11 @@ def factor_rational(f: BiPoly) -> FactorList:
         raise CurveError("cannot factor the zero polynomial")
     if f.total_degree() > 8:
         raise CurveError("degree cap (8) exceeded for factorization")
-    unit_sym, raw = sympy.factor_list(to_sympy(f))
-    u = sympy.Rational(unit_sym)
-    unit = Fraction(int(u.p), int(u.q))
+    unit_q, raw = to_sympy(f).factor_list()
+    unit = _frac(unit_q)
     factors: List[Tuple[BiPoly, int]] = []
     for base, mult in raw:
-        poly = from_sympy(base)
-        if poly.total_degree() == 0:
-            unit *= poly.coeff(0, 0) ** mult
-            continue
-        norm, scalar = _normalize_factor(poly)
+        norm, scalar = _normalize_factor(from_sympy(base))
         unit *= scalar**mult
         factors.append((norm, int(mult)))
     factors.sort(key=lambda fm: (sorted(((_term_key(m), c) for m, c in fm[0].terms.items())), fm[1]))

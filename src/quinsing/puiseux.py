@@ -19,9 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-import sympy
-
-from .curve import BiPoly, CurveError, multiplicity_at_origin, tangent_cone
+from .curve import BiPoly, CurveError, multiplicity_at_origin, q_poly, tangent_cone
 from .newton import Segment, polygon_of_support, segment_poly_coeffs
 from . import algebraic
 from .algebraic import RATIONAL_TOWER, AlgebraicNumber, Tower, Witness, roots_over
@@ -145,8 +143,7 @@ def _unit_directions(m: int) -> List[Witness]:
     """Witnesses of the roots of T^m - 1: entry n is exp(2*pi*i*n/m)."""
     if m in _dir_cache:
         return _dir_cache[m]
-    t = sympy.Symbol("T")
-    poly = sympy.Poly(t**m - 1, t)
+    poly = q_poly([Fraction(-1)] + [Fraction(0)] * (m - 1) + [Fraction(1)])
     ws = [Witness(poly, k) for k in range(m)]
     # identify which witness sits at angle 2*pi*n/m for each n
     by_angle: List[Optional[Witness]] = [None] * m

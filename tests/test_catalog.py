@@ -1,7 +1,11 @@
+import dataclasses
+import importlib.util
 import json
 from fractions import Fraction as F
 from importlib import resources
+from pathlib import Path
 
+from quinsing import catalog
 from quinsing.catalog import (
     NotInCatalog,
     SingularityClass,
@@ -9,12 +13,15 @@ from quinsing.catalog import (
     classify_diagram,
     self_check,
 )
+from quinsing.classify import classify_all
 from quinsing.curve import parse_poly
 from quinsing.diagram import build_diagram
 from quinsing.puiseux import expand_to_separation
 
 IRR = {"curve_degree": 5, "q_irreducible": True}
 RED = {"curve_degree": 5, "q_irreducible": False}
+
+BUILD_CATALOG = Path(__file__).resolve().parent.parent / "scripts" / "build_catalog.py"
 
 
 def diagram_of(text):
@@ -108,3 +115,37 @@ def test_self_check_passes():
     assert report["rows"] == 60
     assert report["irreducible_flagged"] == 42
     assert report["reducible_flagged"] == 49
+
+
+def test_data_file_matches_its_generator():
+    spec = importlib.util.spec_from_file_location("build_catalog", BUILD_CATALOG)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    expected = [
+        {"id": rid, "arnold_label": label, "irreducible": irr, "reducible": red,
+         "code": code, "representative": rep, "notes": note}
+        for rid, label, irr, red, rep, code, note in module.ROWS
+    ]
+    raw = json.loads(resources.files("quinsing").joinpath("data/catalog.json").read_text())
+    assert raw["classes"] == expected
+
+
+def test_row_32_is_matched_on_its_representative():
+    row = next(c for c in all_classes() if c.id == 32)
+    assert row.representative.total_degree() <= 5
+    reports = classify_all(row.representative)
+    at_origin = [r for r in reports if r.point == (0, 0)]
+    assert [r.catalog_result for r in at_origin] == [row]
+
+
+def test_self_check_reports_a_representative_above_degree_5(monkeypatch):
+    # a degree-7 curve with row 32's code at the origin: the code is right,
+    # but the lookup refuses every curve above degree 5
+    rows = all_classes()
+    old = next(c for c in rows if c.id == 32)
+    bad = dataclasses.replace(old, representative=parse_poly("y*(y-x^2-x^3)*(y-x^2+x^3)"))
+    monkeypatch.setattr(catalog, "_CLASSES", tuple(bad if c.id == 32 else c for c in rows))
+    monkeypatch.setitem(catalog._BY_CODE, old.code, bad)
+    report = self_check(cap=F(8))
+    assert report["ok"] is False
+    assert {f["id"] for f in report["failures"]} == {32}

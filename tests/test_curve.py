@@ -12,9 +12,11 @@ from quinsing.curve import (
     ParseError,
     factor_rational,
     format_poly,
+    from_sympy,
     linear_change,
     multiplicity_at_origin,
     parse_poly,
+    q_poly,
     resultant,
     square_free_part,
     tangent_cone,
@@ -208,7 +210,20 @@ def test_resultant_matches_sympy(f, g):
     if f.degree_in("y") == 0 and g.degree_in("y") == 0:
         return
     ours = resultant(f, g, "y")
-    assert sympy.expand(to_sympy(ours) - _sylvester_resultant(f, g, "y")) == 0
+    assert sympy.expand(to_sympy(ours).as_expr() - _sylvester_resultant(f, g, "y")) == 0
+
+
+@given(poly_st)
+def test_sympy_bridge_round_trip(f):
+    p = to_sympy(f)
+    assert p.domain == sympy.QQ and p.gens == sympy.symbols("x y")
+    assert from_sympy(p) == f
+
+
+def test_q_poly_reads_ascending_coefficients():
+    p = q_poly([F(-2), F(0), F(1, 2), F(0)])
+    assert p.domain == sympy.QQ
+    assert p.all_coeffs() == [sympy.Rational(1, 2), 0, -2]
 
 
 # -- factorization
