@@ -2,8 +2,9 @@
 
 Polynomials are sparse maps (i, j) -> Fraction for the monomial x^i y^j.
 Everything here is exact rational arithmetic; there is no floating point
-in this module.  Factorization delegates to sympy (the Maple-`factor`
-replacement), everything else is implemented directly.
+in this module.  Factorization and resultants delegate to sympy (the
+replacements for Maple's `factor` and `resultant`); everything else is
+implemented directly.
 
 sympy's polynomial algebra is reached only through `Poly` objects over QQ
 built straight from coefficients: `to_sympy` for x, y and `q_poly` for T.
@@ -134,7 +135,7 @@ class BiPoly:
                 out[(i, j - 1)] = out.get((i, j - 1), Fraction(0)) + c * j
         return BiPoly(out)
 
-    # univariate views, used by resultants and singular-point search
+    # univariate view, used by singular-point search
     def coeffs_in(self, var: str) -> List["BiPoly"]:
         """Coefficient list in `var`, ascending, entries polynomials in the other variable."""
         if not self.terms:
@@ -482,6 +483,9 @@ def square_free_part(f: BiPoly) -> Tuple[BiPoly, bool]:
 #
 # Convention: determinant of the Sylvester matrix with rows ordered by the
 # descending shifts of f, then of g.  Validated on Res_y(y-x^2, y+x^2) = 2x^2.
+# Computed by sympy's subresultant PRS (Collins, J. ACM 14, 1967), which is
+# handed the argument of higher degree first: sympy 1.14 swaps the arguments
+# itself when the first has the lower degree and drops the sign that swap costs.
 
 
 def resultant(f: BiPoly, g: BiPoly, var: str) -> BiPoly:
@@ -489,93 +493,16 @@ def resultant(f: BiPoly, g: BiPoly, var: str) -> BiPoly:
         raise CurveError("resultant of zero polynomial")
     if var not in ("x", "y"):
         raise CurveError("var must be 'x' or 'y'")
-    fc = f.coeffs_in(var)
-    gc = g.coeffs_in(var)
-    m, n = len(fc) - 1, len(gc) - 1
+    m, n = f.degree_in(var), g.degree_in(var)
     if m == 0 and n == 0:
         return BiPoly.const(1)
     if m == 0:
-        return fc[0] ** n
+        return f**n
     if n == 0:
-        return gc[0] ** m
-    other = "y" if var == "x" else "x"
-    # interpolate the determinant through evaluations at other = t
-    deg_bound = m * (max(p.degree_in(other) for p in gc if not p.is_zero())) + n * (
-        max(p.degree_in(other) for p in fc if not p.is_zero())
-    )
-    points: List[Tuple[Fraction, Fraction]] = []
-    t = 0
-    while len(points) < deg_bound + 1:
-        tv = Fraction(t)
-        frow = [c.eval_at(tv, tv) for c in fc]
-        grow = [c.eval_at(tv, tv) for c in gc]
-        points.append((tv, _sylvester_det(frow, grow, m, n)))
-        t += 1
-    poly1 = _lagrange(points)
-    out: Dict[Monomial, Fraction] = {}
-    for k, c in enumerate(poly1):
-        if c != 0:
-            out[(k, 0) if other == "x" else (0, k)] = c
-    return BiPoly(out)
-
-
-def _sylvester_det(fcoeffs: List[Fraction], gcoeffs: List[Fraction], m: int, n: int) -> Fraction:
-    size = m + n
-    fd = list(reversed(fcoeffs))  # descending
-    gd = list(reversed(gcoeffs))
-    rows: List[List[Fraction]] = []
-    for s in range(n):
-        rows.append([Fraction(0)] * s + fd + [Fraction(0)] * (size - s - m - 1))
-    for s in range(m):
-        rows.append([Fraction(0)] * s + gd + [Fraction(0)] * (size - s - n - 1))
-    return _det(rows)
-
-
-def _det(rows: List[List[Fraction]]) -> Fraction:
-    n = len(rows)
-    mat = [row[:] for row in rows]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if mat[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            mat[col], mat[pivot] = mat[pivot], mat[col]
-            det = -det
-        det *= mat[col][col]
-        inv = 1 / mat[col][col]
-        for r in range(col + 1, n):
-            if mat[r][col] != 0:
-                factor = mat[r][col] * inv
-                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[col])]
-    return det
-
-
-def _lagrange(points: List[Tuple[Fraction, Fraction]]) -> List[Fraction]:
-    """Coefficients (ascending) of the interpolating polynomial, by Newton differences."""
-    xs = [p[0] for p in points]
-    coeffs = [p[1] for p in points]
-    n = len(points)
-    # divided differences
-    for level in range(1, n):
-        for k in range(n - 1, level - 1, -1):
-            coeffs[k] = (coeffs[k] - coeffs[k - 1]) / (xs[k] - xs[k - level])
-    # expand the Newton form
-    out = [Fraction(0)] * n
-    acc = [Fraction(1)]  # product (t - x0)...(t - x_{k-1})
-    for k in range(n):
-        for idx, a in enumerate(acc):
-            out[idx] += coeffs[k] * a
-        if k < n - 1:
-            nxt = [Fraction(0)] * (len(acc) + 1)
-            for idx, a in enumerate(acc):
-                nxt[idx + 1] += a
-                nxt[idx] -= xs[k] * a
-            acc = nxt
-    while out and out[-1] == 0:
-        out.pop()
-    return out
+        return g**m
+    gens = (_SX, _SY) if var == "x" else (_SY, _SX)
+    sign = 1
+    if m < n:
+        f, g, sign = g, f, (-1) ** (m * n)  # Res(g, f) = (-1)^(mn) Res(f, g)
+    res = to_sympy(f).reorder(*gens).resultant(to_sympy(g).reorder(*gens))
+    return BiPoly({(0, k) if var == "x" else (k, 0): sign * _frac(c) for (k,), c in res.terms()})

@@ -32,6 +32,12 @@ def test_intersection_points_of_two_smooth_factors():
     assert pts == [(0, 0), (1, 1)]
 
 
+def test_singular_points_with_a_y_free_factor():
+    # Res_y of the y-free factor x - 1 with the cusp is taken by its degree-0 branch
+    pts = rational_singular_points(parse_poly("(x - 1)*(y^2 - x^3)"))
+    assert pts == [(0, 0), (1, -1), (1, 1)]
+
+
 def test_multiple_component_rejected():
     with pytest.raises(CurveError, match="multiple component"):
         classify_point(parse_poly("(y - x^2)^2 * (y + x)"), (0, 0))

@@ -198,19 +198,21 @@ def _sylvester_resultant(f, g, var):
     return matrix.domain.to_sympy(matrix.det())
 
 
-@given(poly_st, poly_st)
-@example(P("y"), P("y^3 + 1"))  # sympy 1.14's resultant gives -1 here in both orders
-@example(P("y^3 + 1"), P("y"))
+@given(poly_st, poly_st, st.sampled_from(["x", "y"]))
+@example(P("y"), P("y^3 + 1"), "y")  # sympy 1.14's resultant gives -1 here in both orders
+@example(P("y^3 + 1"), P("y"), "y")
+@example(P("x"), P("x^3 + y"), "x")  # y; sympy 1.14 gives -y unless the cubic comes first
+@example(P("x*y - 1"), P("y^3 + x"), "y")  # x^4 + 1; likewise -x^4 - 1
 @settings(max_examples=40, deadline=None)
-def test_resultant_matches_sympy(f, g):
+def test_resultant_matches_sympy(f, g, var):
     """Against the Sylvester determinant, built from sympy matrices; sympy's own
     `resultant` is not the reference, as its sign is wrong for some pairs."""
     if f.is_zero() or g.is_zero():
         return
-    if f.degree_in("y") == 0 and g.degree_in("y") == 0:
+    if f.degree_in(var) == 0 and g.degree_in(var) == 0:
         return
-    ours = resultant(f, g, "y")
-    assert sympy.expand(to_sympy(ours).as_expr() - _sylvester_resultant(f, g, "y")) == 0
+    ours = resultant(f, g, var)
+    assert sympy.expand(to_sympy(ours).as_expr() - _sylvester_resultant(f, g, var)) == 0
 
 
 @given(poly_st)

@@ -1,5 +1,6 @@
 """sympy's polynomial algebra is reached only through Poly objects built from
-coefficients; its expression-level factoring is never called."""
+coefficients; its expression-level factoring is never called, nor its
+expression-level resultant while points are located."""
 
 from fractions import Fraction
 
@@ -30,7 +31,12 @@ def test_factor_rational_on_a_reducible_curve(no_expression_factoring):
     ]
 
 
-def test_classify_all_with_irrational_slopes(no_expression_factoring):
+def test_classify_all_with_irrational_slopes(no_expression_factoring, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("expression-level sympy.resultant called")
+
+    # location takes its resultants through the Poly bridge too
+    monkeypatch.setattr(sympy, "resultant", refuse)
     # slopes +-sqrt(2) at the origin, and the second factor through (1, 1)
     reports = classify_all(parse_poly("(y^2 - 2*x^2 + x^3)*(y - 1)"))
     assert [(r.point, r.code, r.catalog_result.arnold_label) for r in reports] == [
