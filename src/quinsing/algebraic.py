@@ -122,6 +122,18 @@ def _iv_round_out(iv: Interval) -> Interval:
     return (Fraction(math.floor(lo * scale), scale), Fraction(math.ceil(hi * scale), scale))
 
 
+def _real_sign(x) -> int:
+    """Sign of a nonzero real x that has box() and refine()."""
+    for _ in range(_REFINE_CAP):
+        (rlo, rhi), _im = x.box()
+        if rlo > 0:
+            return 1
+        if rhi < 0:
+            return -1
+        x.refine()
+    raise DecisionFailure("sign refinement did not converge")
+
+
 # ---------------------------------------------------------------------------
 # witnesses: certified Q-algebraic root handles
 
@@ -643,14 +655,7 @@ class AlgebraicNumber:
             raise AlgebraicError("sign of a non-real element")
         if self.is_zero():
             return 0
-        for _ in range(_REFINE_CAP):
-            (rlo, rhi), _im = self.box()
-            if rlo > 0:
-                return 1
-            if rhi < 0:
-                return -1
-            self.refine()
-        raise DecisionFailure("sign refinement did not converge")
+        return _real_sign(self)
 
     def __str__(self):
         return _coeff_str(self.value, self.tower.depth, self.tower)
@@ -1004,16 +1009,7 @@ def _re_equal_exact(a: RootHandle, b: RootHandle) -> bool:
     m = sympy.Poly(sympy.sqf_part(sympy.Poly(d2, t)).as_expr().subs(t, _T), _T)
     shadow = _DiffSquareShadow(a, b)
     w = _locate_among_roots(shadow, m)
-    if not w.is_real():
-        return False
-    for _ in range(_REFINE_CAP):
-        (rlo, rhi), _im = w.box()
-        if rhi < 0:
-            return True
-        if rlo > 0:
-            return False
-        w.refine()
-    raise DecisionFailure("shadow sign did not converge")
+    return w.is_real() and _real_sign(w) < 0
 
 
 class _DiffSquareShadow:

@@ -28,10 +28,6 @@ class SingularityClass:
     representative: BiPoly
     notes: str
 
-    @property
-    def flags(self) -> Tuple[bool, bool]:
-        return (self.irreducible, self.reducible)
-
 
 @dataclass(frozen=True)
 class NotInCatalog:

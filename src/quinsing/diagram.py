@@ -41,7 +41,7 @@ class Diagram:
 
 
 def _vertex_jet(b: ProBranch, through: Fraction):
-    return [(t.exponent, t.coeff) for t in b.terms if t.exponent <= through]
+    return [t for t in b.terms if t.exponent <= through]
 
 
 def _coeff_at(b: ProBranch, e: Fraction) -> Optional[AlgebraicNumber]:
@@ -205,24 +205,7 @@ def render_ascii(d: Diagram) -> str:
             brace_marks.append((child_rows[i], child_rows[j], label_counter[0]))
         return last
 
-    r0 = new_row()
-    root_x = 0
-    rows[r0][root_x] = "o"
-    first = True
-    last = r0
-    child_rows = []
-    for child in d.root.children:
-        r = r0 if first else new_row()
-        if not first:
-            for rr in range(last + 1, r):
-                rows[rr][root_x] = "|"
-            rows[r][root_x] = "+"
-        child_rows.append(r)
-        last = place(child, r, root_x)
-        first = False
-    for i, j in d.root.brace_pairs:
-        label_counter[0] += 1
-        brace_marks.append((child_rows[i], child_rows[j], label_counter[0]))
+    place(d.root, new_row(), 0)
     for ra, rb, lab in brace_marks:
         for r in (ra, rb):
             line = rows[r]

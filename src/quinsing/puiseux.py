@@ -13,11 +13,11 @@ sibling extension, so no arithmetic ever crosses unrelated towers.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .curve import BiPoly, CurveError, multiplicity_at_origin, q_poly, tangent_cone
 from .newton import Segment, polygon_of_support, segment_poly_coeffs
@@ -31,13 +31,10 @@ class PuiseuxError(CurveError):
     pass
 
 
-@dataclass(frozen=True)
-class PuiseuxTerm:
+class PuiseuxTerm(NamedTuple):
     exponent: Fraction
     coeff: AlgebraicNumber
 
-
-TermSeq = Tuple[Tuple[Fraction, AlgebraicNumber], ...]
 
 _run_counter = itertools.count(1)
 
@@ -46,8 +43,9 @@ class ProBranch:
     """One pro-branch, truncated at its separation exponent.
 
     terms hold the nonzero jet coefficients up to and including
-    separated_at; a branch that separated purely by lacking a term may
-    have no stored terms at all.
+    separated_at, the exponent of the last split on the branch's path; a
+    branch that separated purely by lacking a term may have no stored terms
+    at all.  _continuation makes a fresh iterator over the terms past them.
     """
 
     __slots__ = (
@@ -57,22 +55,18 @@ class ProBranch:
         "real_representable",
         "_run",
         "_path",
-        "_state",
-        "_tail",
+        "_continuation",
     )
 
-    def __init__(self, terms: Tuple[PuiseuxTerm, ...], separated_at: Fraction,
-                 run: int, path: Tuple, state, tail: TermSeq):
+    def __init__(self, terms: Tuple[PuiseuxTerm, ...], run: int, path: Tuple,
+                 continuation: Callable[[], Iterator[PuiseuxTerm]]):
         self.terms = terms
         self.ramification = _lcm_denominators(t.exponent for t in terms)
-        self.separated_at = separated_at
-        self.real_representable = _zeta_representable(
-            [(t.exponent, t.coeff) for t in terms]
-        )
+        self.separated_at = path[-1][0] if path else Fraction(0)
+        self.real_representable = _zeta_representable(terms)
         self._run = run
         self._path = path
-        self._state = state
-        self._tail = tail  # emitted past separation, exponent-ascending
+        self._continuation = continuation
 
     def __repr__(self):
         jet = " + ".join(f"({t.coeff})*x^{t.exponent}" for t in self.terms) or "0"
@@ -171,10 +165,6 @@ def _unit_directions(m: int) -> List[Witness]:
 TPoly = Dict[Tuple[int, int], AlgebraicNumber]
 
 
-def _filter_support(g: TPoly) -> TPoly:
-    return {k: c for k, c in g.items() if not c.is_zero()}
-
-
 def _substitute(g: TPoly, seg: Segment, c: AlgebraicNumber) -> TPoly:
     """g(x^q, x^p(c + v)) / x^m over c's tower, m the minimal segment weight."""
     p, q = seg.p, seg.q
@@ -193,84 +183,61 @@ def _substitute(g: TPoly, seg: Segment, c: AlgebraicNumber) -> TPoly:
                 out[key] = out[key] + contrib
             else:
                 out[key] = contrib
-    return _filter_support(out)
-
-
-@dataclass
-class _LeafState:
-    kind: str  # "exact" | "node" | "pending"
-    g: Optional[TPoly] = None
-    tower: Optional[Tower] = None
-    offset: Fraction = Fraction(0)
-    den: int = 1
-    seg_index: int = 0
-    pending_seg: Optional[Segment] = None
-    pending_root: Optional[AlgebraicNumber] = None
+    return {k: a for k, a in out.items() if not a.is_zero()}
 
 
 def _node_shape(g: TPoly, seg_index: int):
-    """(segments, min_j, exact, count) of the node's remaining polygon part."""
+    """(segments, count): the node's polygon segments from seg_index on and
+    the number of branches they carry, plus one for an exact factor y."""
     support = list(g)
     min_j = min(j for _i, j in support)
     if min_j >= 2:
         raise PuiseuxError("multiple component detected mid-recursion")
-    exact = min_j == 1
     j_start = min(j for i, j in support if i == 0)
     if j_start > min_j:
         segments = list(polygon_of_support(support).segments)
     else:
         segments = []
     segments = segments[seg_index:]
-    count = sum(s.start[1] - s.end[1] for s in segments) + (1 if exact else 0)
-    return segments, exact, count
+    count = sum(s.start[1] - s.end[1] for s in segments) + min_j
+    return segments, count
 
 
-def _advance(state: _LeafState):
-    """One more jet term: ((exponent, coeff) | None if exhausted, new state)."""
+def _leaf_terms(
+    g: TPoly,
+    tower: Tower,
+    offset: Fraction,
+    den: int,
+    seg_index: int,
+    step: Optional[Tuple[Segment, AlgebraicNumber]] = None,
+) -> Iterator[PuiseuxTerm]:
+    """The jet terms of a separated branch past its stored ones.
+
+    (g, tower, offset, den, seg_index) is the node the branch was left at;
+    step, when given, is the (segment, root) still to be substituted into g
+    first.  Each linear segment step yields one term; the generator returns
+    when the polygon runs out, i.e. the branch is exactly y = jet.
+    """
     while True:
-        if state.kind == "exact":
-            return None, state
-        if state.kind == "pending":
-            g2 = _substitute(state.g, state.pending_seg, state.pending_root)
-            mu = state.pending_seg.exponent
-            state = _LeafState(
-                kind="node",
-                g=g2,
-                tower=state.pending_root.tower,
-                offset=state.offset + mu / state.den,
-                den=state.den * state.pending_seg.q,
-            )
-            continue
-        segments, exact, count = _node_shape(state.g, state.seg_index)
+        if step is not None:
+            seg, c = step
+            g = _substitute(g, seg, c)
+            tower = c.tower
+            offset = offset + seg.exponent / den
+            den = den * seg.q
+            seg_index = 0
+        segments, count = _node_shape(g, seg_index)
         if count != 1:
             raise PuiseuxError("leaf continuation is not unique (internal bug)")
         if not segments:
-            return None, _LeafState(kind="exact")
+            return
         seg = segments[0]
-        psi = segment_poly_coeffs(state.g, seg, state.tower.zero())
+        psi = segment_poly_coeffs(g, seg, tower.zero())
         if len(psi) != 2:
             raise PuiseuxError("separated branch produced nonlinear step (internal bug)")
         c = -psi[0] / psi[1]
-        exponent = state.offset + seg.exponent / state.den
-        nxt = _LeafState(
-            kind="pending",
-            g=state.g,
-            tower=state.tower,
-            offset=state.offset,
-            den=state.den,
-            pending_seg=seg,
-            pending_root=c,
-        )
-        return (exponent, c), nxt
-
-
-def _make_branch(prefix: TermSeq, path: Tuple, state: _LeafState, run: int) -> ProBranch:
-    separated_at = path[-1][0] if path else Fraction(0)
-    stored = tuple(
-        PuiseuxTerm(e, c) for e, c in prefix if e <= separated_at
-    )
-    tail = tuple((e, c) for e, c in prefix if e > separated_at)
-    return ProBranch(stored, separated_at, run, path, state, tail)
+        yield PuiseuxTerm(offset + seg.exponent / den, c)
+        step = (seg, c)
 
 
 def _walk(
@@ -279,22 +246,16 @@ def _walk(
     offset: Fraction,
     den: int,
     seg_index: int,
-    prefix: TermSeq,
+    prefix: Tuple[PuiseuxTerm, ...],
     path: Tuple,
     cap: Fraction,
     run: int,
     out: List[ProBranch],
 ):
-    segments, exact, count = _node_shape(g, seg_index)
+    segments, count = _node_shape(g, seg_index)
     if count == 1:
-        if not segments:
-            out.append(_make_branch(prefix, path, _LeafState(kind="exact"), run))
-        else:
-            state = _LeafState(
-                kind="node", g=g, tower=tower, offset=offset, den=den,
-                seg_index=seg_index,
-            )
-            out.append(_make_branch(prefix, path, state, run))
+        rest = functools.partial(_leaf_terms, g, tower, offset, den, seg_index)
+        out.append(ProBranch(prefix, run, path, rest))
         return
     seg = segments[0]
     exponent = offset + seg.exponent / den
@@ -313,13 +274,12 @@ def _walk(
         return path + ((exponent, key),) if split else path
 
     for ordinal, (c, mult) in enumerate(roots):
-        new_prefix = prefix + ((exponent, c),)
+        new_prefix = prefix + (PuiseuxTerm(exponent, c),)
         if mult == 1:
-            state = _LeafState(
-                kind="pending", g=g, tower=tower, offset=offset, den=den,
-                pending_seg=seg, pending_root=c,
-            )
-            out.append(_make_branch(new_prefix, child_path((0, ordinal)), state, run))
+            # a simple root only occurs at a split, so this term sits at
+            # separated_at; the substitution waits until the rest is asked for
+            rest = functools.partial(_leaf_terms, g, tower, offset, den, 0, (seg, c))
+            out.append(ProBranch(new_prefix, run, child_path((0, ordinal)), rest))
         else:
             g2 = _substitute(g, seg, c)
             _walk(
@@ -368,29 +328,20 @@ def contact_exponent(b1: ProBranch, b2: ProBranch) -> Fraction:
     raise PuiseuxError("identical branches have no contact exponent (internal bug)")
 
 
-def _extended(b: ProBranch, steps: int) -> Tuple[List[Tuple[Fraction, AlgebraicNumber]], bool]:
+def _extended(b: ProBranch, steps: int) -> Tuple[List[PuiseuxTerm], bool]:
     """(jet terms of b plus up to `steps` more, whether the expansion ran out)."""
-    items = [(t.exponent, t.coeff) for t in b.terms] + list(b._tail)
-    state = b._state
-    for _ in range(steps):
-        term, state = _advance(state)
-        if term is None:
-            return items, True
-        items.append(term)
-    return items, False
+    more = list(itertools.islice(b._continuation(), steps))
+    return list(b.terms) + more, len(more) < steps
 
 
-def extend_jet(b: ProBranch, steps: int) -> List[Tuple[Fraction, AlgebraicNumber]]:
+def extend_jet(b: ProBranch, steps: int) -> List[PuiseuxTerm]:
     """Jet terms of b extended by `steps` more expansion steps (nonzero terms)."""
     return _extended(b, steps)[0]
 
 
-def display_jet(b: ProBranch) -> List[Tuple[Fraction, AlgebraicNumber]]:
+def display_jet(b: ProBranch) -> List[PuiseuxTerm]:
     """Stored jet, extended to the first nonzero term when none is stored."""
-    items = [(t.exponent, t.coeff) for t in b.terms]
-    if items:
-        return items
-    return extend_jet(b, 1)
+    return list(b.terms) or extend_jet(b, 1)
 
 
 def residual_valuation(f: BiPoly, b: ProBranch, extra: int) -> Union[Fraction, float]:
@@ -405,7 +356,6 @@ def _jet_order(f: BiPoly, items: Sequence[Tuple[Fraction, AlgebraicNumber]]):
     q = _lcm_denominators(e for e, _ in items) if items else 1
     tower = items[-1][1].tower if items else RATIONAL_TOWER
     # y(t) with x = t^q; exponents t^(e*q)
-    ydeg = max((int(e * q) for e, _ in items), default=0)
     jet: Dict[int, AlgebraicNumber] = {}
     for e, c in items:
         k = int(e * q)

@@ -108,6 +108,24 @@ def test_render_has_exponent_header():
     assert "}" not in render_ascii(diag("y^2 + x^3"))
 
 
+@pytest.mark.parametrize(
+    "src, text",
+    [
+        ("x^2*y + x^4 + 2*x*y^2 + y^3", "    1     3/2\no---o-----o\n    +-----o\n+---o"),
+        (
+            "y*(x^2+y^2)*(x^2+4*y^2)",
+            "    1\no---o  }1\n+---o  }2\n+---o  }2\n+---o  }1\n+---o",
+        ),
+        (
+            "(y^2+x^4)*(y^2+x^4+x^5)",
+            "    2     3\no---o-----o  }1\n    +-----o\n+---o-----o  }1\n    +-----o",
+        ),
+    ],
+)
+def test_render_ascii_exact_text(src, text):
+    assert render_ascii(diag(src)) == text
+
+
 def test_json_roundtrip():
     d = diag("y^3 - x*y^2 + x^5")
     payload = json.loads(to_json(d))

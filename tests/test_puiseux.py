@@ -4,6 +4,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quinsing import puiseux
+from quinsing.catalog import all_classes
 from quinsing.curve import parse_poly, linear_change, multiplicity_at_origin
 from quinsing.puiseux import (
     PuiseuxError,
@@ -19,6 +21,10 @@ from quinsing.puiseux import (
 
 def jet_strings(b):
     return [(str(t.exponent), str(t.coeff)) for t in b.terms]
+
+
+def extended_strings(b, steps):
+    return [(str(e), str(c)) for e, c in extend_jet(b, steps)]
 
 
 def test_cusp_two_conjugate_branches():
@@ -148,6 +154,32 @@ def test_exact_component_branch():
     assert len(empties) == 1
     assert empties[0].separated_at == F(3, 2)
     assert residual_valuation(f, empties[0], 3) == math.inf
+
+
+def test_catalog_jets_stop_at_separation_and_extend_repeatably():
+    for c in all_classes():
+        for b in expand_to_separation(c.representative):
+            assert all(t.exponent <= b.separated_at for t in b.terms), c.id
+            two = extended_strings(b, 2)
+            three = extended_strings(b, 3)
+            assert three[: len(two)] == two, c.id
+            assert extended_strings(b, 3) == three, c.id
+
+
+def test_continuation_substitutes_only_when_asked(monkeypatch):
+    calls = []
+    substitute = puiseux._substitute
+
+    def counted(*args):
+        calls.append(args)
+        return substitute(*args)
+
+    monkeypatch.setattr(puiseux, "_substitute", counted)
+    bs = expand_to_separation(parse_poly("y^2 - x^3"))
+    assert len(bs) == 2 and calls == []
+    for k, b in enumerate(bs, 1):
+        extend_jet(b, 1)
+        assert len(calls) == k
 
 
 def test_branch_json_shape():
