@@ -4,24 +4,25 @@ A Tower is a chain of levels; level k adjoins one root of a square-free
 monic polynomial whose coefficients live in the tower below.  Elements are
 nested dense coefficient vectors (Fraction at depth 0), always reduced.
 
-Every generator carries a Q-witness: a square-free elimination polynomial
-in Q[T] (resultant cascade through the defining polynomials) together with
-the index of one of its roots.  A witness of degree at most 2 is exact in
-closed form: its boxes come from integer square roots of the discriminant,
-and realness and conjugation are read off the discriminant's sign.  A
-witness of higher degree selects a sympy CRootOf and refines its isolating
-box by sympy's bisection.  Witness boxes refine exactly in Q and steer
-the decision procedures; the decisions themselves (zero test, realness,
-ordering) are exact.  Defining polynomials are square-free but not
-necessarily irreducible; zero tests fall back to a gcd split decided by
-locating the selected root (dynamic evaluation).  Towers are never
-mutated; refinement state lives in caches.
+Every generator carries a Q-witness: a square-free polynomial in Q[T]
+having the generator among its roots, together with the index of that
+root.  A witness of degree at most 2 is exact in closed form: its boxes
+come from integer square roots of the discriminant, and realness and
+conjugation are read off the discriminant's sign.  A witness of higher
+degree selects a sympy CRootOf and refines its isolating box by sympy's
+bisection.  Witness boxes refine exactly in Q and steer the decision
+procedures; the decisions themselves (zero test, realness, ordering) are
+exact.  Defining polynomials are square-free but not necessarily
+irreducible; zero tests fall back to a gcd split decided by locating the
+selected root (dynamic evaluation).  Towers are never mutated;
+refinement state lives in caches.
 
-sympy is reached through Poly objects in T over QQ built from coefficients
-(`curve.q_poly`), read back through `curve._frac`: factoring over Q,
-minimal polynomials and CRootOf witnesses.  Only the resultant cascades of
-`_eliminate_to_q` (elimination through a tower's defining polynomials) and
-`_re_equal_exact` (the difference-square polynomial) build sympy expressions.
+Elimination to Q is linear algebra in the tower's own arithmetic: the first
+Q-linear relation among 1, a, a^2, ... in the flattened power basis
+(`_q_relation`) holds in the tower's ring, so it vanishes at a under every
+embedding.  sympy is reached only through Poly objects in T over QQ built
+from coefficients (`curve.q_poly`), read back through `curve._frac`, for
+factoring over Q, square-free parts and CRootOf witnesses.
 """
 
 from __future__ import annotations
@@ -33,11 +34,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import sympy
 
-from .curve import _T, _frac, q_poly
-
-Rat = Fraction
-
-_GENS = [sympy.Symbol(f"Z{k}") for k in range(1, 9)]
+from .curve import _frac, q_poly
 
 _REFINE_CAP = 240
 
@@ -421,14 +418,11 @@ def _e_box(a: Elem, depth: int, gen_boxes: Sequence[Box]) -> Box:
     return acc
 
 
-def _e_sympy(a: Elem, depth: int) -> sympy.Expr:
-    if depth == 0:
-        return sympy.Rational(a.numerator, a.denominator)
-    g = _GENS[depth - 1]
-    expr = sympy.Integer(0)
-    for k, coeff in enumerate(a):
-        expr += _e_sympy(coeff, depth - 1) * g**k
-    return expr
+def _e_flat(a: Elem) -> List[Fraction]:
+    """The rationals of an element, in order: its coordinates over Q."""
+    if isinstance(a, Fraction):
+        return [a]
+    return [q for coeff in a for q in _e_flat(coeff)]
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +432,7 @@ def _e_sympy(a: Elem, depth: int) -> sympy.Expr:
 class Level:
     __slots__ = ("defining", "witness", "degree", "index")
 
-    def __init__(self, defining: Tuple[Elem, ...], witness: Witness, index: int):
+    def __init__(self, defining: Tuple[Elem, ...], witness: Optional[Witness], index: int):
         self.defining = defining  # monic, ascending, length degree+1
         self.witness = witness
         self.degree = len(defining) - 1
@@ -446,18 +440,17 @@ class Level:
 
 
 class Tower:
-    __slots__ = ("levels", "_totally_real")
+    __slots__ = ("levels",)
 
     def __init__(self, levels: Tuple[Level, ...] = ()):  # Q itself is Tower(())
         self.levels = levels
-        self._totally_real = all(lv.witness.is_real() for lv in levels)
 
     @property
     def depth(self) -> int:
         return len(self.levels)
 
     def totally_real(self) -> bool:
-        return self._totally_real
+        return all(lv.witness.is_real() for lv in self.levels)
 
     def extends(self, other: "Tower") -> bool:
         return self.levels[: other.depth] == other.levels
@@ -862,36 +855,44 @@ def _is_real_impl(a: AlgebraicNumber) -> bool:
         if ilo > 0 or ihi < 0:
             return False
         a.refine()
-    m = _minpoly_q(a)
-    root = _locate_among_roots(a, m)
-    return root.is_real()
+    return _locate_among_roots(a, _q_relation(a)).is_real()
 
 
-def _minpoly_q(a: AlgebraicNumber) -> sympy.Poly:
-    if "minpoly" in a._cache:
-        return a._cache["minpoly"]  # type: ignore[return-value]
-    one = _from_frac(Fraction(1), a.tower.depth, a.tower)
-    poly = _eliminate_to_q(a.tower, [_e_neg(a.value), one])
-    # pick the irreducible factor vanishing at a (exact tower evaluation)
-    vanishing = None
-    for fp, _mult in poly.factor_list()[1]:
-        acc = a.tower.zero()
-        for coeff in fp.all_coeffs():
-            acc = acc * a + _frac(coeff)
-        if acc.is_zero():
-            vanishing = fp.monic()
-            break
-    if vanishing is None:
-        raise DecisionFailure("no minimal polynomial factor vanishes (internal bug)")
-    a._cache["minpoly"] = vanishing
-    return vanishing
+def _q_relation(a: AlgebraicNumber) -> sympy.Poly:
+    """Square-free part of the first Q-linear relation among 1, a, a^2, ...
+
+    The powers are compared in the tower's flattened power basis by a
+    Fraction echelon form.  The relation holds in the tower's ring itself,
+    so it vanishes at a under every embedding of the tower, whichever root
+    each level selects (memoised).
+    """
+    if "relation" not in a._cache:
+        depth, tower = a.tower.depth, a.tower
+        power = _from_frac(Fraction(1), depth, tower)
+        n = math.prod(lv.degree for lv in tower.levels)  # the ring's dimension over Q
+        # each row: the coordinates of a combination of powers, then its coefficients
+        rows: List[Tuple[int, List[Fraction]]] = []
+        for k in range(n + 1):
+            vec = _e_flat(power) + [Fraction(j == k) for j in range(n + 1)]
+            for pivot, row in rows:
+                c = vec[pivot]
+                if c:
+                    vec = [x - c * y for x, y in zip(vec, row)]
+            pivot = next((j for j in range(n) if vec[j]), None)
+            if pivot is None:
+                break
+            rows.append((pivot, [x / vec[pivot] for x in vec]))
+            power = _e_mul(power, a.value, depth, tower)
+        a._cache["relation"] = q_poly(vec[n:]).sqf_part()
+    return a._cache["relation"]  # type: ignore[return-value]
 
 
 def _locate_among_roots(source, m: sympy.Poly) -> Witness:
     """The root of m whose box alone meets source's box.
 
-    source is anything with box() and refine(): an AlgebraicNumber, or a
-    _DiffSquareShadow.
+    m is a square-free Q[T] polynomial having source's value among its
+    roots, such as a `_q_relation`.  source is anything with box() and
+    refine(): an AlgebraicNumber, or a _DiffSquareShadow.
     """
     candidates = [Witness(m, k) for k in range(m.degree())]
     for _ in range(_REFINE_CAP):
@@ -934,33 +935,12 @@ class RootHandle:
         """Some square-free Q[T] polynomial having this root among its roots."""
         if self._witness is not None:
             return self._witness.qpoly
-        r = self.number.is_rational()
-        if r is not None:
-            return q_poly([-r, Fraction(1)])
-        return _minpoly_q(self.number)
+        return _q_relation(self.number)
 
 
-def _defining_sympy_exprs(tower: Tower) -> List[sympy.Expr]:
-    out = []
-    for k, level in enumerate(tower.levels):
-        dexpr = sympy.Integer(0)
-        for j, c in enumerate(level.defining):
-            dexpr += _e_sympy(c, k) * _GENS[k] ** j
-        out.append(dexpr)
-    return out
-
-
-def _eliminate_to_q(tower: Tower, coeffs: Sequence[Elem]) -> sympy.Poly:
-    """Square-free Q[T] polynomial whose roots include every root of the input."""
-    p = sympy.Integer(0)
-    for j, c in enumerate(coeffs):
-        p += _e_sympy(c, tower.depth) * _T**j
-    for k, dexpr in reversed(list(enumerate(_defining_sympy_exprs(tower)))):
-        p = sympy.resultant(p, dexpr, _GENS[k])
-    poly = sympy.Poly(p, _T)
-    if poly.degree() < 1:
-        raise AlgebraicError("elimination collapsed (internal bug)")
-    return sympy.Poly(sympy.sqf_part(poly), _T)
+def _ascending(qpoly: sympy.Poly) -> Tuple[Fraction, ...]:
+    """Monic rational coefficients of qpoly, lowest degree first."""
+    return tuple(_frac(c) for c in reversed(qpoly.monic().all_coeffs()))
 
 
 def _survivors(tower: Tower, coeffs: List[Elem], qpoly: sympy.Poly) -> List[Witness]:
@@ -990,25 +970,18 @@ def _survivors(tower: Tower, coeffs: List[Elem], qpoly: sympy.Poly) -> List[Witn
 
 
 def _re_equal_exact(a: RootHandle, b: RootHandle) -> bool:
-    """Exact equality of real parts, used only when boxes refuse to separate."""
-    # same-tower elements: c = a-b is nonzero; purely imaginary iff c^2 < 0
-    na, nb = a.number, b.number
-    if na.tower.levels == nb.tower.levels or na.tower.extends(nb.tower) or nb.tower.extends(na.tower):
-        c = na - nb
-        c2 = c * c
-        if c2.is_real():
-            return c2.sign() < 0
-        return False
-    # delta = (a-b)^2 is a root of a resultant-built Q[T] polynomial;
-    # Re(a) = Re(b) with a != b exactly when delta is real and negative
-    A = a.qpoly()
-    B = b.qpoly()
-    z, t = sympy.Dummy("z"), sympy.Dummy("t")
-    d1 = sympy.resultant(A.as_expr().subs(_T, z), B.as_expr().subs(_T, z - t), z)
-    d2 = sympy.resultant(sympy.expand(d1).subs(t, z), z**2 - t, z)
-    m = sympy.Poly(sympy.sqf_part(sympy.Poly(d2, t)).as_expr().subs(t, _T), _T)
-    shadow = _DiffSquareShadow(a, b)
-    w = _locate_among_roots(shadow, m)
+    """Exact equality of real parts, used only when boxes refuse to separate.
+
+    Re(a) = Re(b) with a != b exactly when (a-b)^2 is real and negative.
+    With A = a.qpoly() and B = b.qpoly(), the Q-relation of (U-V)^2 in the
+    ring Q[U]/(A)[V]/(B) has (a-b)^2 among its roots; the root is located
+    through the handles' boxes.
+    """
+    inner = Tower((Level(_ascending(a.qpoly()), None, 0),))
+    outer = tuple(_from_frac(c, 1, inner) for c in _ascending(b.qpoly()))
+    ring = Tower(inner.levels + (Level(outer, None, 0),))
+    diff = ring.generator(0) - ring.generator(1)
+    w = _locate_among_roots(_DiffSquareShadow(a, b), _q_relation(diff * diff))
     return w.is_real() and _real_sign(w) < 0
 
 
@@ -1137,7 +1110,7 @@ def _roots_of_squarefree(tower: Tower, factor: List[Elem], mult: int) -> List[Ro
         # factor over Q so rational roots stay rational and definings are irreducible
         for fp, _m in q_poly(factor).factor_list()[1]:
             qpoly = fp.monic()
-            defining = tuple(_frac(c) for c in reversed(qpoly.all_coeffs()))
+            defining = _ascending(qpoly)
             if len(defining) == 2:
                 out.append(RootHandle(tower.from_rat(-defining[0]), mult, None))
                 continue
@@ -1149,8 +1122,10 @@ def _roots_of_squarefree(tower: Tower, factor: List[Elem], mult: int) -> List[Ro
         return out
     monic = _poly_monic(factor, tower)
     defining = tuple(monic)
-    qpoly = _eliminate_to_q(tower, monic)
-    for w in _survivors(tower, monic, qpoly):
+    # the new generator's relation in R[Z]/(monic) has every root of monic
+    # among its roots, under every embedding of the tower R
+    ring = Tower(tower.levels + (Level(defining, None, 0),))
+    for w in _survivors(tower, monic, _q_relation(ring.generator())):
         level = Level(defining, w, 0)
         new_tower = Tower(tower.levels + (level,))
         out.append(RootHandle(new_tower.generator(), mult, w))

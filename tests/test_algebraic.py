@@ -8,9 +8,11 @@ from quinsing.algebraic import (
     AlgebraicError,
     AlgebraicNumber,
     Tower,
+    _q_relation,
     conjugate_pairs,
     roots_over,
 )
+from quinsing.curve import _frac, q_poly
 
 
 def test_sqrt2_basics():
@@ -142,3 +144,35 @@ def test_monic_cubic_root_count_and_membership(cs):
     if len(xs) == len(rts):  # distinct roots: conjugation closure must pair up
         pairs, fixed = conjugate_pairs(xs)
         assert 2 * len(pairs) + len(fixed) == len(xs)
+
+
+def _relation_generators():
+    """Generators of Q(sqrt(2)), Q(i), the reducible level Z^2 - 2 over
+    Q(sqrt(2)), sqrt(i) over Q(i), and the real cube root of 2."""
+    s2 = sqrt2_tower().generator()
+    i_val = roots_over(RATIONAL_TOWER, [F(1), F(0), F(1)])[1][0]
+    ti, t2 = i_val.tower, s2.tower
+    return (
+        s2,
+        i_val,
+        roots_over(t2, [t2.from_rat(-2), t2.zero(), t2.one()])[0][0],
+        roots_over(ti, [-i_val, ti.zero(), ti.one()])[0][0],
+        roots_over(RATIONAL_TOWER, [F(-2), F(0), F(0), F(1)])[-1][0],
+    )
+
+
+@given(
+    st.integers(min_value=0, max_value=4),
+    st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=3), min_size=4, max_size=4),
+)
+@settings(max_examples=40, deadline=None)
+def test_q_relation_vanishes_and_is_square_free(which, cs):
+    g = _relation_generators()[which]
+    x = cs[0] + cs[1] * g + cs[2] * g * g + cs[3] * g * g * g
+    m = _q_relation(x)
+    acc = x.tower.zero()
+    for c in m.all_coeffs():
+        acc = acc * x + _frac(c)
+    assert acc.is_zero()
+    assert m.gcd(m.diff()).degree() == 0
+    assert _q_relation(x.tower.from_rat(cs[0])) == q_poly([-cs[0], F(1)])
