@@ -77,6 +77,12 @@ def _jet_text(b) -> str:
     return "y = " + joined
 
 
+def _branch_line(prefix: str, b) -> str:
+    tag = "real" if b.real_representable else "conjugate"
+    return (f"{prefix}{_jet_text(b)}   [ramification {b.ramification}, "
+            f"separates at {b.separated_at}, {tag}]")
+
+
 def _print_report_ascii(r: ClassificationReport):
     click.echo(f"point ({r.point[0]}, {r.point[1]})  multiplicity {r.multiplicity}")
     if r.shear_lambda:
@@ -84,9 +90,7 @@ def _print_report_ascii(r: ClassificationReport):
     click.echo(f"tangent cone: {r.tangent_cone}")
     click.echo("branches:")
     for b in r.branches:
-        tag = "real" if b.real_representable else "conjugate"
-        click.echo(f"  {_jet_text(b)}   [ramification {b.ramification}, "
-                   f"separates at {b.separated_at}, {tag}]")
+        click.echo(_branch_line("  ", b))
     click.echo(render_ascii(r.diagram))
     click.echo(f"code: {r.code}")
     res = r.catalog_result
@@ -179,9 +183,7 @@ def cmd_expand(poly, cap_text, fmt):
         )
     else:
         for i, b in enumerate(branches, 1):
-            tag = "real" if b.real_representable else "conjugate"
-            click.echo(f"branch#{i}: {_jet_text(b)}   [ramification {b.ramification}, "
-                       f"separates at {b.separated_at}, {tag}]")
+            click.echo(_branch_line(f"branch#{i}: ", b))
         click.echo(render_ascii(diagram))
         click.echo(f"code: {canonical_code(diagram)}")
 

@@ -1,4 +1,4 @@
-"""Newton polygons at the origin and per-segment quasihomogeneous data.
+"""Newton polygons at the origin and their segment polynomials.
 
 The polygon is the lower-left hull of the support, from the y-axis
 intercept down to the lowest-j vertex, vertices by increasing i.  Each
@@ -42,14 +42,6 @@ class Segment:
 class NewtonPolygon:
     vertices: Tuple[Point, ...]
     segments: Tuple[Segment, ...]
-
-
-@dataclass(frozen=True)
-class SegmentData:
-    segment: Segment
-    exponent: Fraction
-    segment_poly: Tuple[Fraction, ...]  # ascending in Z, degree = j-extent
-    multiple_root_flag: bool
 
 
 def polygon_of_support(support: Sequence[Point]) -> NewtonPolygon:
@@ -110,20 +102,6 @@ def segment_poly_coeffs(terms: Dict[Point, object], seg: Segment, zero):
     return out
 
 
-def segment_data(f: BiPoly, seg: Segment) -> SegmentData:
-    poly = newton_polygon(f)
-    if seg not in poly.segments:
-        raise NewtonError("segment is not on the Newton polygon of f")
-    coeffs = segment_poly_coeffs(f.terms, seg, Fraction(0))
-    flag = has_multiple_root(coeffs, RATIONAL_TOWER)
-    return SegmentData(
-        segment=seg,
-        exponent=seg.exponent,
-        segment_poly=tuple(coeffs),
-        multiple_root_flag=flag,
-    )
-
-
 def has_multiple_root(coeffs: Sequence, tower) -> bool:
     """gcd(psi, psi') nonconstant; works over Q and over towers alike."""
     p = list(coeffs)
@@ -136,13 +114,13 @@ def polygon_json(f: BiPoly) -> dict:
     poly = newton_polygon(f)
     segs = []
     for seg in poly.segments:
-        d = segment_data(f, seg)
+        coeffs = segment_poly_coeffs(f.terms, seg, Fraction(0))
         segs.append(
             {
                 "from": list(seg.start),
                 "to": list(seg.end),
                 "exponent": str(seg.exponent),
-                "multiple_root": d.multiple_root_flag,
+                "multiple_root": has_multiple_root(coeffs, RATIONAL_TOWER),
             }
         )
     return {"vertices": [list(v) for v in poly.vertices], "segments": segs}

@@ -19,10 +19,9 @@ import math
 from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .curve import BiPoly, CurveError, multiplicity_at_origin, q_poly, tangent_cone
+from .curve import BiPoly, CurveError, multiplicity_at_origin, tangent_cone
 from .newton import Segment, polygon_of_support, segment_poly_coeffs
-from . import algebraic
-from .algebraic import RATIONAL_TOWER, AlgebraicNumber, Tower, Witness, roots_over
+from .algebraic import RATIONAL_TOWER, AlgebraicNumber, Tower, roots_over
 
 INFINITE_ORDER = math.inf
 
@@ -81,82 +80,42 @@ def _lcm_denominators(exponents) -> int:
 
 
 # ---------------------------------------------------------------------------
-# the zeta rule: does a jet admit a real parametrization x = +-t^q?
+# the zeta rule: a real parametrization x = +-t^q, from coefficient powers
 
 
 def _zeta_representable(terms: Sequence[Tuple[Fraction, AlgebraicNumber]]) -> bool:
-    if not terms:
+    """Whether some unit u makes every u^k_j * c_j real, k_j = e_j * q.
+
+    q is the lcm of the exponent denominators.  Substituting t -> u*t with
+    u^(2q) = 1 keeps x = +-t^q, so the jet is real representable iff there is
+    an m with n_j + m*k_j = 0 (mod q) for all j, where arg c_j = n_j*pi/q.
+
+    - Every c_j real: m = 0 works.
+    - n_j exists iff c_j^(2q) is a positive real.
+    - For a pair a < b, c_a^k_b * c_b^(-k_a) has argument
+      (n_a*k_b - n_b*k_a)*pi/q, so it is real iff n_a*k_b = n_b*k_a (mod q).
+      The exponent -k_a is taken mod 2q, which only multiplies by a positive
+      power of c_b^(2q) and keeps every power non-negative.
+    - The pairwise congruences follow from m.  Conversely, gcd(k_1, ..., k_n,
+      q) = 1 because q is the lcm of the reduced denominators, so Bezout
+      gives sum x_j*k_j = 1 (mod q), and m = -sum x_j*n_j solves every
+      congruence: n_i + m*k_i = n_i - sum x_j*n_j*k_i, which the pairwise
+      congruences turn into n_i*(1 - sum x_j*k_j) = 0 (mod q).
+
+    The terms of one jet live in nested prefix towers, so products coerce.
+    """
+    if all(c.is_real() for _e, c in terms):
         return True
     q = _lcm_denominators(e for e, _ in terms)
-    ks = [int(e * q) for e, _ in terms]
-    ns = []
-    for (_e, c) in terms:
-        n = _angle_class(c, q)
-        if n is None:
+    for _e, c in terms:
+        power = c ** (2 * q)
+        if not power.is_real() or power.sign() <= 0:
             return False
-        ns.append(n % q)
-    for m in range(q):
-        if all((n + m * k) % q == 0 for n, k in zip(ns, ks)):
-            return True
-    return False
-
-
-def _angle_class(c: AlgebraicNumber, q: int) -> Optional[int]:
-    """n with arg(c) = n*pi/q (n in [0, 2q)), or None if no such n exists."""
-    power = c ** (2 * q)
-    if not power.is_real() or power.sign() <= 0:
-        return None
-    if c.is_real():
-        return 0 if c.sign() > 0 else q
-    dirs = _unit_directions(2 * q)
-    candidates = list(range(2 * q))
-    for _ in range(algebraic._REFINE_CAP):
-        cb = c.box()
-        keep = []
-        for n in candidates:
-            prod = algebraic._box_mul(cb, algebraic._box_conj(dirs[n].box()))
-            (rlo, rhi), (ilo, ihi) = prod
-            if ilo > 0 or ihi < 0 or rhi < 0:
-                continue
-            keep.append(n)
-        candidates = keep
-        if len(candidates) == 1:
-            return candidates[0]
-        if not candidates:
-            raise algebraic.DecisionFailure("angle class eliminated all sectors")
-        c.refine()
-        for n in candidates:
-            dirs[n].refine()
-    raise algebraic.DecisionFailure("angle class did not converge")
-
-
-_dir_cache: Dict[int, List[Witness]] = {}
-
-
-def _unit_directions(m: int) -> List[Witness]:
-    """Witnesses of the roots of T^m - 1: entry n is exp(2*pi*i*n/m)."""
-    if m in _dir_cache:
-        return _dir_cache[m]
-    poly = q_poly([Fraction(-1)] + [Fraction(0)] * (m - 1) + [Fraction(1)])
-    ws = [Witness(poly, k) for k in range(m)]
-    # identify which witness sits at angle 2*pi*n/m for each n
-    by_angle: List[Optional[Witness]] = [None] * m
-    for w in ws:
-        for _ in range(algebraic._REFINE_CAP):
-            (rlo, rhi), (ilo, ihi) = w.box()
-            if max(rhi - rlo, ihi - ilo) < Fraction(1, 16):
-                break
-            w.refine()
-        (rlo, rhi), (ilo, ihi) = w.box()
-        cx = (rlo + rhi) / 2
-        cy = (ilo + ihi) / 2
-        ang = math.atan2(float(cy), float(cx)) % (2 * math.pi)
-        n = round(ang * m / (2 * math.pi)) % m
-        if by_angle[n] is not None:
-            raise algebraic.DecisionFailure("ambiguous unit direction")
-        by_angle[n] = w
-    _dir_cache[m] = by_angle  # type: ignore[assignment]
-    return by_angle  # type: ignore[return-value]
+    scaled = [(int(e * q), c) for e, c in terms]
+    return all(
+        (ca ** kb * cb ** (-ka % (2 * q))).is_real()
+        for (ka, ca), (kb, cb) in itertools.combinations(scaled, 2)
+    )
 
 
 # ---------------------------------------------------------------------------

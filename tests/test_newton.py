@@ -3,15 +3,20 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
+from quinsing.algebraic import RATIONAL_TOWER
 from quinsing.curve import parse_poly
 from quinsing.newton import (
     NewtonError,
-    Segment,
+    has_multiple_root,
     newton_polygon,
     polygon_json,
     polygon_of_support,
-    segment_data,
+    segment_poly_coeffs,
 )
+
+
+def _segment_poly(f, seg):
+    return tuple(segment_poly_coeffs(f.terms, seg, F(0)))
 
 
 def test_single_segment_cusp():
@@ -21,10 +26,10 @@ def test_single_segment_cusp():
     seg = poly.segments[0]
     assert seg.exponent == F(3, 2)
     assert (seg.p, seg.q) == (3, 2)
-    d = segment_data(parse_poly("y^2 + x^3"), seg)
+    psi = _segment_poly(parse_poly("y^2 + x^3"), seg)
     # psi(Z) = Z^2 + 1, ascending storage
-    assert d.segment_poly == (F(1), F(0), F(1))
-    assert d.multiple_root_flag is False
+    assert psi == (F(1), F(0), F(1))
+    assert has_multiple_root(psi, RATIONAL_TOWER) is False
 
 
 def test_quartic_over_quintic():
@@ -35,8 +40,7 @@ def test_quartic_over_quintic():
 
 def test_segment_poly_sign():
     f = parse_poly("y^2 - x^5")
-    d = segment_data(f, newton_polygon(f).segments[0])
-    assert d.segment_poly == (F(-1), F(0), F(1))
+    assert _segment_poly(f, newton_polygon(f).segments[0]) == (F(-1), F(0), F(1))
 
 
 def test_two_segments_with_ascending_exponents():
@@ -47,11 +51,12 @@ def test_two_segments_with_ascending_exponents():
     exps = [s.exponent for s in poly.segments]
     assert exps == [F(1), F(2)]
     assert exps == sorted(exps)
-    d1 = segment_data(f, poly.segments[0])
-    d2 = segment_data(f, poly.segments[1])
-    assert d1.segment_poly == (F(-1), F(1))
-    assert d2.segment_poly == (F(1), F(0), F(-1))
-    assert not d1.multiple_root_flag and not d2.multiple_root_flag
+    psi1 = _segment_poly(f, poly.segments[0])
+    psi2 = _segment_poly(f, poly.segments[1])
+    assert psi1 == (F(-1), F(1))
+    assert psi2 == (F(1), F(0), F(-1))
+    assert not has_multiple_root(psi1, RATIONAL_TOWER)
+    assert not has_multiple_root(psi2, RATIONAL_TOWER)
 
 
 def test_collinear_interior_point_is_not_a_vertex():
@@ -59,9 +64,10 @@ def test_collinear_interior_point_is_not_a_vertex():
     f = parse_poly("y^2 + 2*x^2*y + x^4 + x^5")
     poly = newton_polygon(f)
     assert poly.vertices == ((0, 2), (4, 0))
-    d = segment_data(f, poly.segments[0])
-    assert d.segment_poly == (F(1), F(2), F(1))  # (Z + 1)^2
-    assert d.multiple_root_flag is True
+    psi = _segment_poly(f, poly.segments[0])
+    assert psi == (F(1), F(2), F(1))  # (Z + 1)^2
+    assert has_multiple_root(psi, RATIONAL_TOWER) is True
+    assert polygon_json(f)["segments"][0]["multiple_root"] is True
 
 
 def test_polygon_may_end_off_axis():
@@ -80,10 +86,6 @@ def test_error_cases():
         newton_polygon(parse_poly("1 + x + y"))  # origin not on curve
     with pytest.raises(NewtonError):
         newton_polygon(parse_poly("x - x"))  # zero polynomial
-    f = parse_poly("y^2 + x^3")
-    foreign = Segment(start=(0, 9), end=(9, 0), exponent=F(1))
-    with pytest.raises(NewtonError):
-        segment_data(f, foreign)
 
 
 def test_json_shape():

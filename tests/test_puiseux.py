@@ -1,12 +1,16 @@
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from quinsing import puiseux
+from quinsing.algebraic import RATIONAL_TOWER, roots_over
 from quinsing.catalog import all_classes
 from quinsing.curve import parse_poly, linear_change, multiplicity_at_origin
+from quinsing.diagram import build_diagram, canonical_code
 from quinsing.puiseux import (
     PuiseuxError,
     branch_json,
@@ -224,6 +228,103 @@ def test_real_representable_helper_matches_field():
     for src in ["y^2 + x^3", "y^2 + x^4", "y^3 - x^4"]:
         for b in expand_to_separation(parse_poly(src)):
             assert real_representable(b) == b.real_representable
+
+
+def _unit_root(q):
+    """omega = exp(i*pi/q): the root of Phi_2q with Im > 0 and the largest Re."""
+    phi = [F(int(c)) for c in reversed(sympy.cyclotomic_poly(2 * q, polys=True).all_coeffs())]
+    omega = roots_over(RATIONAL_TOWER, phi)[-1][0]  # roots sorted by (Re, Im)
+    for _ in range(40):
+        (_re, (ilo, _ihi)) = omega.box()
+        if ilo > 0:
+            return omega
+        omega.refine()
+    raise AssertionError("exp(i*pi/q) not identified")
+
+
+def _representable_by_angles(exponents, angles):
+    """The zeta rule on integers; angles are args of the coefficients in units of pi."""
+    q = 1
+    for e in exponents:
+        q = math.lcm(q, e.denominator)
+    ks = [int(e * q) for e in exponents]
+    ns = [alpha * q for alpha in angles]
+    if any(n.denominator != 1 for n in ns):
+        return False
+    return any(
+        all((int(n) + m * k) % q == 0 for n, k in zip(ns, ks)) for m in range(2 * q)
+    )
+
+
+def test_zeta_rule_matches_integer_brute_force():
+    """Random jets over Q(exp(i*pi/q)) against the integer rule.
+
+    Coefficients are r*omega^a on the angle lattice, or omega^a + 1 =
+    2*cos(a*pi/2q)*exp(i*a*pi/2q) off it.  Half the jets have denominators
+    dividing q and angles n_j = -m*k_j (mod q') for a random m, so that they
+    pass the power test and reach the pairwise products; a quarter of those
+    get one angle redrawn.
+    """
+    rng = random.Random(20261020)
+    outcomes = []
+    for q in range(2, 7):
+        omega = _unit_root(q)
+        powers = [omega ** a for a in range(2 * q)]
+        divisors = [d for d in range(1, q + 1) if q % d == 0]
+        for _ in range(42):
+            aligned = rng.random() < 0.5
+            dens = divisors if aligned else [1, 2, 3, 4, 6]
+            exponents = sorted(
+                {F(rng.randint(1, 12), rng.choice(dens)) for _ in range(rng.randint(1, 3))}
+            )
+            qj = math.lcm(*(e.denominator for e in exponents))
+            m = rng.randrange(2 * qj)
+            exps = [(-m * int(e * qj)) % (2 * qj) * (q // qj) for e in exponents]
+            if not aligned or rng.random() < 0.25:
+                exps[rng.randrange(len(exps))] = rng.randrange(2 * q)
+            coeffs, angles = [], []
+            for a in exps:
+                r = F(rng.choice([-3, -2, -1, 1, 2, 5]), rng.randint(1, 3))
+                half = F(a, 2 * q)  # in [0, 1); cos(half*pi) < 0 past 1/2
+                if rng.random() < 0.2 and half != F(1, 2):
+                    coeffs.append((powers[a] + 1) * r)
+                    alpha = half + (1 if half > F(1, 2) else 0)
+                else:
+                    coeffs.append(powers[a] * r)
+                    alpha = F(a, q)
+                angles.append((alpha + (1 if r < 0 else 0)) % 2)
+            expected = _representable_by_angles(exponents, angles)
+            got = puiseux._zeta_representable(list(zip(exponents, coeffs)))
+            assert got == expected, (q, exponents, [str(c) for c in coeffs])
+            outcomes.append(got)
+    assert 60 <= sum(outcomes) <= len(outcomes) - 60
+
+
+class _RefusedCRootOf:
+    def __new__(cls, *args, **kwargs):
+        raise AssertionError("CRootOf isolation was asked for")
+
+
+@pytest.mark.parametrize(
+    "src, code, real",
+    [
+        ("y^2 + x^3", "(3/2:•,•|braces:)", [True, True]),
+        ("y^3 + x^4", "(4/3:•,•,•|braces:)", [True, True, True]),
+        ("(y^2 + x^3)*(y^2 + 2*x^3)", "(3/2:•,•,•,•|braces:)", [True] * 4),
+        ("y^2 + x^4 + x^5", None, [False, False]),
+    ],
+)
+def test_zeta_rule_isolates_no_roots(monkeypatch, src, code, real):
+    """Every jet here lives in towers of degree <= 2, whose witnesses are in
+    closed form, so deciding representability must not need sympy's CRootOf.
+    Before the rule was decided from coefficient powers it isolated the roots
+    of T^(2q) - 1 and kept them in a process-wide cache: these cases failed in
+    a fresh process and could pass inside a longer run with the cache warm."""
+    monkeypatch.setattr(sympy, "CRootOf", _RefusedCRootOf)
+    bs = expand_to_separation(parse_poly(src))
+    assert [b.real_representable for b in bs] == real
+    if code is not None:
+        assert canonical_code(build_diagram(bs)) == code
 
 
 def conj_closed(bs):
