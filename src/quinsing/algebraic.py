@@ -17,6 +17,12 @@ irreducible; zero tests fall back to a gcd split decided by locating the
 selected root (dynamic evaluation).  Towers are never mutated;
 refinement state lives in caches.
 
+Every box decision (a sign, a root comparison, a root location, a gcd
+split, a conjugate partner) runs through one refinement loop, `_narrow`.
+It alone holds the round budget `_REFINE_CAP`, refines between rounds and
+raises `DecisionFailure`, a CurveError naming the decision, the rounds
+used and the last box widths.  Exact shortcuts come before any round.
+
 Elimination to Q is linear algebra in the tower's own arithmetic: the first
 Q-linear relation among 1, a, a^2, ... in the flattened power basis
 (`_q_relation`) holds in the tower's ring, so it vanishes at a under every
@@ -34,17 +40,19 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import sympy
 
-from .curve import _frac, q_poly
+from .curve import CurveError, _frac, q_poly
 
 _REFINE_CAP = 240
 
 
-class AlgebraicError(ValueError):
+class AlgebraicError(CurveError):
     pass
 
 
-class DecisionFailure(RuntimeError):
-    """A certified decision loop hit its refinement cap (internal bug)."""
+class DecisionFailure(CurveError):
+    """A certified box decision ran out of refinement rounds.  Valid input
+    reaches it when two quantities agree to more bits than the rounds
+    resolve, such as the tangent slopes sqrt(2) and sqrt(2 + 10^-150)."""
 
 
 # ---------------------------------------------------------------------------
@@ -119,16 +127,55 @@ def _iv_round_out(iv: Interval) -> Interval:
     return (Fraction(math.floor(lo * scale), scale), Fraction(math.ceil(hi * scale), scale))
 
 
-def _real_sign(x) -> int:
-    """Sign of a nonzero real x that has box() and refine()."""
-    for _ in range(_REFINE_CAP):
-        (rlo, rhi), _im = x.box()
-        if rlo > 0:
-            return 1
-        if rhi < 0:
-            return -1
-        x.refine()
-    raise DecisionFailure("sign refinement did not converge")
+# ---------------------------------------------------------------------------
+# certified box decisions: one refinement loop
+
+
+def _iv_allows(iv: Interval, s: int) -> bool:
+    """False only when iv certifies that its value does not have sign s (+-1)."""
+    return iv[1] >= 0 if s > 0 else iv[0] <= 0
+
+
+def _width_text(b: Box) -> str:
+    """The box's width as a power of two within a factor 2 of it, from bit lengths."""
+    w = _box_width(b)
+    return f"2^{w.numerator.bit_length() - w.denominator.bit_length()}" if w else "0"
+
+
+def _narrow(what: str, candidates, fits, target: int, *also, start: int = 0, stop=None) -> list:
+    """The candidates that the box test `fits` cannot exclude, once at most
+    `target` are left.
+
+    fits(c) is False only when the boxes certify that c is not the answer,
+    so a dropped candidate stays dropped.  The live candidates and `also`
+    are refined between rounds.  A decision taken in phases passes the
+    rounds it has spent as `start`; a probe passes `stop` and gets the live
+    candidates back when its rounds run out.
+    """
+    live = list(candidates)
+
+    def boxed() -> list:  # the outcomes of a sign or an order (ints, bools) have no box
+        return [x for x in (*live, *also) if not isinstance(x, int)]
+
+    for _ in range(start, _REFINE_CAP if stop is None else stop):
+        live = [c for c in live if fits(c)]
+        if len(live) <= target:
+            return live
+        for x in boxed():
+            x.refine()
+    if stop is not None:
+        return live
+    widths = ", ".join(_width_text(x.box()) for x in boxed())
+    raise DecisionFailure(
+        f"{what} did not converge in {_REFINE_CAP} rounds; last box widths {widths}"
+    )
+
+
+def _signs(x, part: int = 0, **rounds) -> List[int]:
+    """The signs (-1, +1) of the real (part 0) or imaginary (part 1) part of
+    x that its boxes leave open; x has box() and refine(), and `rounds` are
+    as for _narrow.  The one sign of a nonzero part is [0] of the result."""
+    return _narrow("sign", (-1, 1), lambda s: _iv_allows(x.box()[part], s), 1, x, **rounds)
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +247,7 @@ class Witness:
         self._region: Optional[Box] = None
         self._quad: Optional[Tuple[int, int, int, int]] = None  # (a, b, D, sign of sqrt)
         self._inner = None
+        self._box: Optional[Box] = None
         if qpoly.degree() <= 2:
             self._init_closed_form()
             return
@@ -231,7 +279,6 @@ class Witness:
             return
         self._quad = (a, b, d, sign)
         self._prec = 0
-        self._box: Optional[Box] = None
 
     def is_real(self) -> bool:
         return self._is_real
@@ -239,11 +286,9 @@ class Witness:
     def box(self) -> Box:
         if self.rational is not None:
             return _box_from_frac(self.rational)
-        if self._quad is not None:
-            if self._box is None:
-                self._box = self._quad_box()
-            return self._box
-        return self._interval_box(self._iv)
+        if self._box is None:
+            self._box = self._quad_box() if self._quad is not None else self._interval_box(self._iv)
+        return self._box
 
     def _quad_box(self) -> Box:
         a, b, d, sign = self._quad
@@ -261,24 +306,21 @@ class Witness:
         return ((centre, centre), _iv_round_out((Fraction(lo, den), Fraction(hi, den))))
 
     def _interval_box(self, iv) -> Box:
-        s = self._scale
+        def scaled(lo, hi) -> Interval:
+            s = self._scale
+            return _iv_round_out(tuple(sorted((_frac(lo) * s, _frac(hi) * s))))
+
         if self._is_real:
-            ends = (_frac(iv.a) * s, _frac(iv.b) * s)
-            return (_iv_round_out((min(ends), max(ends))), _ZERO_IV)
-        xs = (_frac(iv.ax) * s, _frac(iv.bx) * s)
-        ys = (_frac(iv.ay) * s, _frac(iv.by) * s)
-        return (
-            _iv_round_out((min(xs), max(xs))),
-            _iv_round_out((min(ys), max(ys))),
-        )
+            return (scaled(iv.a, iv.b), _ZERO_IV)
+        return (scaled(iv.ax, iv.bx), scaled(iv.ay, iv.by))
 
     def refine(self):
         """Shrink the box: one more bit of sqrt|D|, or one sympy bisection step."""
         if self._quad is not None:
             self._prec += 1
-            self._box = None
         elif self._inner is not None:
             self._iv = self._iv.refine()
+        self._box = None
 
     @property
     def region(self) -> Box:
@@ -314,13 +356,7 @@ class Witness:
             return 1 - self.index
         # conjugate roots of a real polynomial are adjacent in sympy order,
         # lower half-plane first
-        while True:
-            _, (ylo, yhi) = self.box()
-            if yhi < 0:
-                return self.index + 1
-            if ylo > 0:
-                return self.index - 1
-            self.refine()
+        return self.index - _signs(self, 1)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -334,14 +370,6 @@ def _zero_elem(depth: int, tower: "Tower") -> Elem:
         return Fraction(0)
     inner = _zero_elem(depth - 1, tower)
     return tuple([inner] * tower.levels[depth - 1].degree)
-
-
-def _from_frac(q: Fraction, depth: int, tower: "Tower") -> Elem:
-    if depth == 0:
-        return Fraction(q)
-    coords = [_from_frac(q, depth - 1, tower)]
-    coords += [_zero_elem(depth - 1, tower)] * (tower.levels[depth - 1].degree - 1)
-    return tuple(coords)
 
 
 def _embed(e: Elem, from_depth: int, to_depth: int, tower: "Tower") -> Elem:
@@ -377,18 +405,12 @@ def _e_scale(a: Elem, q: Fraction) -> Elem:
 def _e_mul(a: Elem, b: Elem, depth: int, tower: "Tower") -> Elem:
     if depth == 0:
         return a * b
-    d = tower.levels[depth - 1].degree
-    conv: List[Elem] = [_zero_elem(depth - 1, tower) for _ in range(2 * d - 1)]
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            conv[i + j] = _e_add(conv[i + j], _e_mul(x, y, depth - 1, tower))
-    return _reduce_mod_defining(conv, depth, tower)
+    return _reduce_mod_defining(_poly_mul(a, b, depth - 1, tower), depth, tower)
 
 
-def _reduce_mod_defining(coords: List[Elem], depth: int, tower: "Tower") -> Elem:
+def _reduce_mod_defining(work: List[Elem], depth: int, tower: "Tower") -> Elem:
     level = tower.levels[depth - 1]
     d = level.degree
-    work = list(coords)
     while len(work) > d:
         top = work.pop()
         # defining is monic: subtract top * defining shifted to the head position
@@ -397,8 +419,6 @@ def _reduce_mod_defining(coords: List[Elem], depth: int, tower: "Tower") -> Elem
             work[shift + i] = _e_sub(
                 work[shift + i], _e_mul(top, level.defining[i], depth - 1, tower)
             )
-    while len(work) < d:
-        work.append(_zero_elem(depth - 1, tower))
     return tuple(work)
 
 
@@ -411,11 +431,7 @@ def _e_structural_zero(a: Elem) -> bool:
 def _e_box(a: Elem, depth: int, gen_boxes: Sequence[Box]) -> Box:
     if depth == 0:
         return _box_from_frac(a)
-    g = gen_boxes[depth - 1]
-    acc = _e_box(a[-1], depth - 1, gen_boxes)
-    for coeff in reversed(a[:-1]):
-        acc = _box_add(_box_mul(acc, g), _e_box(coeff, depth - 1, gen_boxes))
-    return acc
+    return _poly_box_eval(a, depth - 1, gen_boxes, gen_boxes[depth - 1])
 
 
 def _e_flat(a: Elem) -> List[Fraction]:
@@ -466,10 +482,10 @@ class Tower:
         return AlgebraicNumber(self, _zero_elem(self.depth, self))
 
     def one(self) -> "AlgebraicNumber":
-        return AlgebraicNumber(self, _from_frac(Fraction(1), self.depth, self))
+        return self.from_rat(1)
 
     def from_rat(self, q) -> "AlgebraicNumber":
-        return AlgebraicNumber(self, _from_frac(Fraction(q), self.depth, self))
+        return AlgebraicNumber(self, _embed(Fraction(q), 0, self.depth, self))
 
     def generator(self, level: Optional[int] = None) -> "AlgebraicNumber":
         k = self.depth - 1 if level is None else level
@@ -478,8 +494,8 @@ class Tower:
             # linear defining: generator equals the negated constant term
             val = _e_neg(self.levels[k].defining[0])
             return AlgebraicNumber(self, _embed(val, k, self.depth, self))
-        coords = [_from_frac(Fraction(0), k, self), _from_frac(Fraction(1), k, self)]
-        coords += [_zero_elem(k, self) for _ in range(d - 2)]
+        zero = _zero_elem(k, self)
+        coords = [zero, _embed(Fraction(1), 0, k, self)] + [zero] * (d - 2)
         return AlgebraicNumber(self, _embed(tuple(coords), k + 1, self.depth, self))
 
     def level_str(self, k: int) -> str:
@@ -648,7 +664,7 @@ class AlgebraicNumber:
             raise AlgebraicError("sign of a non-real element")
         if self.is_zero():
             return 0
-        return _real_sign(self)
+        return _signs(self)[0]
 
     def __str__(self):
         return _coeff_str(self.value, self.tower.depth, self.tower)
@@ -680,21 +696,14 @@ def _witness_root_of(tower: Tower, level_idx: int, g: List[Elem], h: List[Elem])
 
     Pre: defining = g*h up to a unit, both nonconstant, so exactly one holds.
     """
-    sub_depth = level_idx
-    level = tower.levels[level_idx]
-    for _ in range(_REFINE_CAP):
-        boxes = tower.gen_boxes()
-        gen_box = boxes[level_idx]
-        gb = _poly_box_eval(g, sub_depth, boxes, gen_box)
-        if _box_excludes_zero(gb):
-            return False
-        hb = _poly_box_eval(h, sub_depth, boxes, gen_box)
-        if _box_excludes_zero(hb):
-            return True
-        level.witness.refine()
-        for lv in tower.levels[:level_idx]:
-            lv.witness.refine()
-    raise DecisionFailure("gcd split decision did not converge")
+    witnesses = [lv.witness for lv in tower.levels[: level_idx + 1]]
+
+    def fits(on_g: bool) -> bool:
+        boxes = [w.box() for w in witnesses]
+        value = _poly_box_eval(g if on_g else h, level_idx, boxes, boxes[level_idx])
+        return not _box_excludes_zero(value)
+
+    return _narrow("gcd split", (True, False), fits, 1, *witnesses)[0]
 
 
 def _poly_box_eval(
@@ -712,22 +721,17 @@ def _inv_elem(e: Elem, depth: int, tower: Tower) -> Elem:
     sub = Tower(tower.levels[: depth - 1])
     p = _poly_normalize(list(e), sub)
     if len(p) == 1:
-        inv0 = _inv_elem(p[0], depth - 1, tower)
-        coords = [inv0] + [_zero_elem(depth - 1, tower)] * (
-            tower.levels[depth - 1].degree - 1
-        )
-        return tuple(coords)
+        return _embed(_inv_elem(p[0], depth - 1, tower), depth - 1, depth, tower)
     modulus = list(tower.levels[depth - 1].defining)
-    while True:
-        g, u = _poly_ext_gcd_first(p, modulus, sub)
-        if len(g) == 1:
-            ginv = _inv_elem(g[0], depth - 1, tower)
-            u = [_e_mul(c, ginv, depth - 1, tower) for c in u]
-            d = tower.levels[depth - 1].degree
-            u = (u + [_zero_elem(depth - 1, tower)] * d)[:d]
-            return tuple(u)
+    g, u = _poly_ext_gcd_first(p, modulus, sub)
+    while len(g) > 1:
         # nonzero element: the selected root lies on the other factor
         modulus = _poly_divexact(modulus, g, sub)
+        g, u = _poly_ext_gcd_first(p, modulus, sub)
+    ginv = _inv_elem(g[0], depth - 1, tower)
+    u = [_e_mul(c, ginv, depth - 1, tower) for c in u]
+    d = tower.levels[depth - 1].degree
+    return tuple((u + [_zero_elem(depth - 1, tower)] * d)[:d])
 
 
 # ---------------------------------------------------------------------------
@@ -799,24 +803,22 @@ def _poly_ext_gcd_first(
 ) -> Tuple[List[Elem], List[Elem]]:
     """(monic gcd g, u) with u*a = g modulo b."""
     depth = tower.depth
-    zero = [_zero_elem(depth, tower)]
-    one = [_from_frac(Fraction(1), depth, tower)]
     r0, r1 = _poly_normalize(a, tower), _poly_normalize(b, tower)
-    s0, s1 = one, zero
+    s0, s1 = [_embed(Fraction(1), 0, depth, tower)], [_zero_elem(depth, tower)]
     while not _poly_is_zero(r1, tower):
         q, r = _poly_divmod(r0, r1, tower)
         r0, r1 = r1, r
-        s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1, tower), tower)
+        s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1, depth, tower), tower)
     if _poly_is_zero(r0, tower):
         return r0, s0
-    lead_inv = _inv_elem(_poly_normalize(r0, tower)[-1], depth, tower)
-    g = [_e_mul(c, lead_inv, depth, tower) for c in _poly_normalize(r0, tower)]
+    lead_inv = _inv_elem(r0[-1], depth, tower)  # the remainders are normalized
+    g = [_e_mul(c, lead_inv, depth, tower) for c in r0]
     u = [_e_mul(c, lead_inv, depth, tower) for c in s0]
     return g, u
 
 
-def _poly_mul(a: List[Elem], b: List[Elem], tower: Tower) -> List[Elem]:
-    depth = tower.depth
+def _poly_mul(a: Sequence[Elem], b: Sequence[Elem], depth: int, tower: Tower) -> List[Elem]:
+    """Product of two polynomials whose coefficients live at `depth` of the tower."""
     out = [_zero_elem(depth, tower) for _ in range(len(a) + len(b) - 1)]
     for i, x in enumerate(a):
         for j, y in enumerate(b):
@@ -846,15 +848,11 @@ def _poly_derivative(p: List[Elem], tower: Tower) -> List[Elem]:
 
 
 def _is_real_impl(a: AlgebraicNumber) -> bool:
-    if a.is_rational() is not None:
+    if a.is_rational() is not None or a.tower.totally_real():
         return True
-    if a.tower.totally_real():
-        return True
-    for _ in range(12):
-        _re, (ilo, ihi) = a.box()
-        if ilo > 0 or ihi < 0:
-            return False
-        a.refine()
+    # a 12-round probe: an imaginary part of certain sign proves a non-real
+    if len(_signs(a, 1, stop=12)) == 1:
+        return False
     return _locate_among_roots(a, _q_relation(a)).is_real()
 
 
@@ -868,7 +866,7 @@ def _q_relation(a: AlgebraicNumber) -> sympy.Poly:
     """
     if "relation" not in a._cache:
         depth, tower = a.tower.depth, a.tower
-        power = _from_frac(Fraction(1), depth, tower)
+        power = _embed(Fraction(1), 0, depth, tower)
         n = math.prod(lv.degree for lv in tower.levels)  # the ring's dimension over Q
         # each row: the coordinates of a combination of powers, then its coefficients
         rows: List[Tuple[int, List[Fraction]]] = []
@@ -887,23 +885,19 @@ def _q_relation(a: AlgebraicNumber) -> sympy.Poly:
     return a._cache["relation"]  # type: ignore[return-value]
 
 
-def _locate_among_roots(source, m: sympy.Poly) -> Witness:
-    """The root of m whose box alone meets source's box.
+def _all_roots(m: sympy.Poly) -> List[Witness]:
+    return [Witness(m, k) for k in range(m.degree())]
 
-    m is a square-free Q[T] polynomial having source's value among its
-    roots, such as a `_q_relation`.  source is anything with box() and
-    refine(): an AlgebraicNumber, or a _DiffSquareShadow.
+
+def _locate_among_roots(x: AlgebraicNumber, m: sympy.Poly) -> Witness:
+    """The root of m whose box alone meets the box of x.
+
+    m is a square-free Q[T] polynomial having x's value among its roots,
+    such as a `_q_relation`.
     """
-    candidates = [Witness(m, k) for k in range(m.degree())]
-    for _ in range(_REFINE_CAP):
-        sb = source.box()
-        hits = [w for w in candidates if _box_intersects(sb, w.box())]
-        if len(hits) == 1:
-            return hits[0]
-        source.refine()
-        for w in hits:
-            w.refine()
-    raise DecisionFailure("root location did not converge")
+    return _narrow(
+        "root location", _all_roots(m), lambda w: _box_intersects(x.box(), w.box()), 1, x
+    )[0]
 
 
 # ---------------------------------------------------------------------------
@@ -921,15 +915,10 @@ class RootHandle:
         self._witness = witness
 
     def box(self) -> Box:
-        if self._witness is not None:
-            return self._witness.box()
-        return self.number.box()
+        return (self._witness or self.number).box()
 
     def refine(self):
-        if self._witness is not None:
-            self._witness.refine()
-        else:
-            self.number.refine()
+        (self._witness or self.number).refine()
 
     def qpoly(self) -> sympy.Poly:
         """Some square-free Q[T] polynomial having this root among its roots."""
@@ -949,24 +938,12 @@ def _survivors(tower: Tower, coeffs: List[Elem], qpoly: sympy.Poly) -> List[Witn
     Certified by counting: exclusion never removes a true root, and the
     polynomial has exactly deg-many distinct roots (it is square-free).
     """
-    target = len(coeffs) - 1
-    cands = [Witness(qpoly, k) for k in range(qpoly.degree())]
-    for _ in range(_REFINE_CAP):
-        if len(cands) == target:
-            return cands
-        boxes = tower.gen_boxes()
-        keep = []
-        for w in cands:
-            vb = _poly_box_eval(coeffs, tower.depth, boxes, w.box())
-            if not _box_excludes_zero(vb):
-                keep.append(w)
-        cands = keep
-        if len(cands) == target:
-            return cands
-        for w in cands:
-            w.refine()
-        tower.refine()
-    raise DecisionFailure("root identification did not converge")
+    def fits(w: Witness) -> bool:
+        value = _poly_box_eval(coeffs, tower.depth, tower.gen_boxes(), w.box())
+        return not _box_excludes_zero(value)
+
+    gens = [lv.witness for lv in tower.levels]
+    return _narrow("root identification", _all_roots(qpoly), fits, len(coeffs) - 1, *gens)
 
 
 def _re_equal_exact(a: RootHandle, b: RootHandle) -> bool:
@@ -978,28 +955,17 @@ def _re_equal_exact(a: RootHandle, b: RootHandle) -> bool:
     through the handles' boxes.
     """
     inner = Tower((Level(_ascending(a.qpoly()), None, 0),))
-    outer = tuple(_from_frac(c, 1, inner) for c in _ascending(b.qpoly()))
+    outer = tuple(_embed(c, 0, 1, inner) for c in _ascending(b.qpoly()))
     ring = Tower(inner.levels + (Level(outer, None, 0),))
     diff = ring.generator(0) - ring.generator(1)
-    w = _locate_among_roots(_DiffSquareShadow(a, b), _q_relation(diff * diff))
-    return w.is_real() and _real_sign(w) < 0
 
+    def fits(w: Witness) -> bool:
+        (are, aim), (bre, bim) = a.box(), b.box()
+        d = (_iv_sub(are, bre), _iv_sub(aim, bim))
+        return _box_intersects(_box_mul(d, d), w.box())
 
-class _DiffSquareShadow:
-    """Box provider for (a-b)^2 built from two root handles."""
-
-    def __init__(self, a: RootHandle, b: RootHandle):
-        self.a = a
-        self.b = b
-
-    def box(self) -> Box:
-        ab, bb = self.a.box(), self.b.box()
-        diff = (_iv_sub(ab[0], bb[0]), _iv_sub(ab[1], bb[1]))
-        return _box_mul(diff, diff)
-
-    def refine(self):
-        self.a.refine()
-        self.b.refine()
+    (w,) = _narrow("root location", _all_roots(_q_relation(diff * diff)), fits, 1, a, b)
+    return w.is_real() and _signs(w)[0] < 0
 
 
 def _conjugate_witnesses(a: RootHandle, b: RootHandle) -> bool:
@@ -1014,30 +980,33 @@ def _conjugate_witnesses(a: RootHandle, b: RootHandle) -> bool:
     )
 
 
+_EXACT_RE_AFTER = 24  # rounds of real-part boxes before the exact equality test
+
+
+def _orders(a: RootHandle, b: RootHandle, part: int, **rounds) -> List[int]:
+    """The orders (-1, +1) of the real (part 0) or imaginary (part 1) parts
+    of a and b that the boxes leave open; `rounds` as for _narrow."""
+    return _narrow(
+        "root comparison", (-1, 1),
+        lambda s: _iv_allows(_iv_sub(a.box()[part], b.box()[part]), s), 1, a, b, **rounds,
+    )
+
+
 def _compare_roots(a: RootHandle, b: RootHandle) -> int:
-    """-1/0/+1 in the (Re, Im) order; roots assumed distinct unless identical handles."""
+    """-1/0/+1 in the (Re, Im) order; roots assumed distinct unless identical handles.
+
+    Equal real parts, decided exactly after the first rounds, hand the
+    remaining rounds to the imaginary parts.
+    """
     if a is b:
         return 0
-    re_known_equal = _conjugate_witnesses(a, b)
-    re_checked = re_known_equal
-    for round_no in range(_REFINE_CAP):
-        ab, bb = a.box(), b.box()
-        if not re_known_equal:
-            if ab[0][1] < bb[0][0]:
-                return -1
-            if bb[0][1] < ab[0][0]:
-                return 1
-        if round_no >= 24 and not re_checked:
-            re_checked = True
-            re_known_equal = _re_equal_exact(a, b)
-        if re_known_equal:
-            if ab[1][1] < bb[1][0]:
-                return -1
-            if bb[1][1] < ab[1][0]:
-                return 1
-        a.refine()
-        b.refine()
-    raise DecisionFailure("root comparison did not converge")
+    if _conjugate_witnesses(a, b):
+        return _orders(a, b, 1)[0]
+    live = _orders(a, b, 0, stop=_EXACT_RE_AFTER)
+    if len(live) > 1:
+        part = 1 if _re_equal_exact(a, b) else 0
+        live = _orders(a, b, part, start=_EXACT_RE_AFTER)
+    return live[0]
 
 
 def _sort_roots(roots: List[RootHandle]) -> List[RootHandle]:
@@ -1075,13 +1044,8 @@ def roots_over(
     Roots outside the tower are returned in freshly extended towers sharing
     the input tower as a prefix.
     """
-    elems: List[Elem] = []
-    for c in coeffs:
-        if isinstance(c, AlgebraicNumber):
-            elems.append(tower.zero()._coerce(c).value)
-        else:
-            elems.append(_from_frac(Fraction(c), tower.depth, tower))
-    p = _poly_normalize(elems, tower)
+    zero = tower.zero()
+    p = _poly_normalize([zero._coerce(c).value for c in coeffs], tower)
     if len(p) == 1:
         if _is_zero_elem(p[0], tower.depth, tower):
             raise AlgebraicError("roots of the zero polynomial")
@@ -1114,10 +1078,8 @@ def _roots_of_squarefree(tower: Tower, factor: List[Elem], mult: int) -> List[Ro
             if len(defining) == 2:
                 out.append(RootHandle(tower.from_rat(-defining[0]), mult, None))
                 continue
-            for k in range(qpoly.degree()):
-                w = Witness(qpoly, k)
-                level = Level(defining, w, k)
-                new_tower = Tower(tower.levels + (level,))
+            for w in _all_roots(qpoly):
+                new_tower = Tower(tower.levels + (Level(defining, w, w.index),))
                 out.append(RootHandle(new_tower.generator(), mult, w))
         return out
     monic = _poly_monic(factor, tower)
@@ -1144,23 +1106,14 @@ def conjugate_pairs(
     open_idx = [k for k in range(len(xs)) if k not in fixed]
     pairs: List[Tuple[int, int]] = []
     while open_idx:
-        k = open_idx[0]
-        partner = None
-        for _ in range(_REFINE_CAP):
-            mirror = _box_conj(xs[k].box())
-            hits = [j for j in open_idx[1:] if _box_intersects(mirror, xs[j].box())]
-            if len(hits) == 1:
-                partner = hits[0]
-                break
-            if len(hits) == 0:
-                raise AlgebraicError(
-                    "input not closed under conjugation (internal expansion bug)"
-                )
-            xs[k].refine()
-            for j in hits:
-                xs[j].refine()
-        if partner is None:
-            raise DecisionFailure("conjugate matching did not converge")
+        k, rest = open_idx[0], open_idx[1:]
+        hits = _narrow(
+            "conjugate matching", [xs[j] for j in rest],
+            lambda y: _box_intersects(_box_conj(xs[k].box()), y.box()), 1, xs[k],
+        )
+        if not hits:
+            raise AlgebraicError("input not closed under conjugation (internal expansion bug)")
+        partner = next(j for j in rest if xs[j] is hits[0])
         pairs.append((k, partner))
-        open_idx = [j for j in open_idx if j not in (k, partner)]
+        open_idx = [j for j in rest if j != partner]
     return pairs, fixed

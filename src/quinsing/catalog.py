@@ -81,7 +81,11 @@ def classify_diagram(d: Diagram, context: dict):
 
     context: {"curve_degree": int, "q_irreducible": bool}.  Degree above 5 is
     outside the tables; within degree 5 the matching row must carry the
-    applicability flag selected by q_irreducible.
+    applicability flag selected by q_irreducible, which means irreducible
+    over R, as the paper's flags do.  For a quintic, classify_point sets it
+    iff the curve has one Q-factor and the point is not 5-fold.  Below
+    degree 5 one Q-factor does not settle it (y^2 - 2*x^4 is two real
+    parabolas), and the caller's flag is used as given.
     """
     _load()
     code = canonical_code(d)

@@ -197,8 +197,11 @@ def classify_point(
     diagram = build_diagram(branches)
     code = canonical_code(diagram)
     q_irr = len(factors) == 1
+    # the lookup's flag is over R: a Q-irreducible quintic with a rational
+    # 5-fold point is a cone of five conjugate lines
+    degree = f.total_degree()
     result = classify_diagram(
-        diagram, {"curve_degree": f.total_degree(), "q_irreducible": q_irr}
+        diagram, {"curve_degree": degree, "q_irreducible": q_irr and not m == 5 == degree}
     )
     return ClassificationReport(
         input=format_poly(f),

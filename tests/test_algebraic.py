@@ -3,16 +3,18 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quinsing import algebraic
 from quinsing.algebraic import (
     RATIONAL_TOWER,
     AlgebraicError,
     AlgebraicNumber,
     Tower,
+    _locate_among_roots,
     _q_relation,
     conjugate_pairs,
     roots_over,
 )
-from quinsing.curve import _frac, q_poly
+from quinsing.curve import CurveError, _frac, q_poly
 
 
 def test_sqrt2_basics():
@@ -113,6 +115,31 @@ def test_debug_format_shape_and_stability():
     t.refine()
     assert t.level_str(0) == s  # region snapshot is not affected by refinement
     assert sqrt2_tower().level_str(0) == s
+
+
+def _sqrt2_with_a_rational_neighbour():
+    """sqrt(2), whose first box [1, 3/2] still holds the rational root 3/2 of
+    (4T^2 - 9)(T^2 - 2), so locating it there takes refinement rounds."""
+    s2 = roots_over(RATIONAL_TOWER, [-2, 0, 1])[1][0]
+    assert s2.box()[0] == (F(1), F(3, 2))
+    return s2, q_poly([F(18), F(0), F(-17), F(0), F(4)])
+
+
+def test_root_location_refines_until_one_root_is_left():
+    s2, m = _sqrt2_with_a_rational_neighbour()
+    w = _locate_among_roots(s2, m)
+    (lo, hi), im = w.box()
+    assert F(7, 5) <= lo and hi <= F(10, 7) and im == (0, 0)
+    assert w.rational is None and w.is_real()
+    assert s2.box()[0][1] < F(3, 2)  # the rounds refined sqrt(2) past 3/2
+
+
+def test_a_decision_out_of_rounds_is_a_domain_error(monkeypatch):
+    s2, m = _sqrt2_with_a_rational_neighbour()
+    monkeypatch.setattr(algebraic, "_REFINE_CAP", 1)
+    with pytest.raises(CurveError, match="root location did not converge in 1 rounds") as err:
+        _locate_among_roots(s2, m)
+    assert "last box widths 2^" in str(err.value)
 
 
 def test_towers_are_not_mutated_by_arithmetic():

@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -11,7 +12,7 @@ from quinsing.classify import (
     classify_point,
     rational_singular_points,
 )
-from quinsing.curve import CurveError, linear_change, parse_poly
+from quinsing.curve import CurveError, linear_change, parse_poly, translate
 
 
 def test_singular_points_of_cusp():
@@ -117,6 +118,48 @@ def test_cap_exceeded_is_a_domain_error():
     # the two branches agree past any depth the default cap allows
     with pytest.raises(CurveError):
         classify_point(parse_poly("y*(y - x^9)"), (0, 0))
+
+
+# sqrt(2) and sqrt(2 + 10^-150) differ by about 2^-501
+NEAR_TWO = f"{2 * 10**150 + 1}/{10**150}"
+
+
+@pytest.mark.parametrize("text", [
+    f"(y^2 + 2*x^2)*(y^2 + {NEAR_TWO}*x^2) + x^5",
+    f"(y - x)*(y^2 - 2*x^2)*(y^2 - {NEAR_TWO}*x^2)",
+], ids=["conjugate tangent pairs", "five real tangents"])
+def test_tangents_closer_than_the_round_budget_are_a_domain_error(text):
+    """Root comparison refines one bit per round, for at most 240 rounds, so
+    these tangent slopes cannot be told apart.  A refinement that doubles
+    its precision under a bit budget would classify both curves (X**_9 and
+    N_16), and this test would then change to expect those reports."""
+    with pytest.raises(CurveError, match="root comparison did not converge"):
+        classify_point(parse_poly(text), (0, 0))
+
+
+def _random_affine_image(f, rng):
+    """f under a random linear map of determinant 1, then moved so that the
+    origin goes to a random rational point p; returns (image, p)."""
+    a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+    p = (F(rng.randint(-9, 9), rng.randint(1, 5)), F(rng.randint(-9, 9), rng.randint(1, 5)))
+    return translate(linear_change(f, [[1, a], [b, 1 + a * b]]), (-p[0], -p[1])), p
+
+
+@pytest.mark.parametrize("text, row", [
+    ("y^5 - 2*x^5", 54),  # five lines, one real: N**_16
+    ("y^5 - 5*x^2*y^3 + 5*x^4*y - 1/2*x^5", 52),  # five real lines (T_5): N_16
+])
+def test_a_q_irreducible_cone_is_looked_up_as_reducible(text, row):
+    """A Q-irreducible quintic with a 5-fold point is five conjugate lines,
+    which is reducible over R, the context of the catalog's flags."""
+    f = parse_poly(text)
+    moved, p = _random_affine_image(f, random.Random(row))
+    reports = classify_all(moved)
+    assert [r.point for r in reports] == [p]
+    for r in [classify_point(f, (0, 0)), *reports]:
+        assert r.q_irreducible is True
+        assert isinstance(r.catalog_result, SingularityClass)
+        assert r.catalog_result.id == row
 
 
 def test_json_report_shape():

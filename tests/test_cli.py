@@ -82,6 +82,17 @@ def test_unknown_command_is_usage_error():
     assert run("frobnicate", "y").exit_code == 2
 
 
+def test_decision_failure_is_one_error_line():
+    # tangent slopes sqrt(2) and sqrt(2 + 10^-150): more bits than the round budget
+    near_two = f"{2 * 10**150 + 1}/{10**150}"
+    res = run("classify", f"(y^2 - 2*x^2)*(y^2 - {near_two}*x^2) + x^5")
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)  # not an escaped exception
+    (line,) = res.stderr.splitlines()
+    assert line.startswith("error: root comparison did not converge")
+    assert "Traceback" not in res.output
+
+
 def test_context_flag_forces_lookup():
     res = run("classify", "(y^2 - x*y)^2 - x^5", "--context", "irreducible")
     assert res.exit_code == 0

@@ -93,3 +93,18 @@ def test_quadratic_witness_follows_sympy(quadratic):
             assert conjugates[k] == 1 - k
             assert all(row[0][0] == row[1][0] for row in boxes)
 
+
+def test_scaled_crootof_witness():
+    """sympy returns the roots of T^3 - 8T - 16 as 2*CRootOf(T^3 - 2T - 2, k)."""
+    qpoly = sympy.Poly(T**3 - 8 * T - 16, T)
+    assert sympy.CRootOf(qpoly, 0, radicals=False).is_Mul
+    ws = [Witness(qpoly, k) for k in range(3)]
+    # sympy's roots to 40 digits, in CRootOf order; no box endpoint comes that close
+    for w, root in zip(ws, qpoly.nroots(n=40)):
+        re, im = (F(str(c)) for c in root.as_real_imag())
+        for _ in range(10):
+            w.refine()
+            assert all(_contains(iv, value) for iv, value in zip(w.box(), (re, im)))
+        assert all(hi - lo <= F(1, 64) for lo, hi in w.region)
+    assert [w.is_real() for w in ws] == [True, False, False]
+    assert [w.conjugate_index() for w in ws] == [0, 2, 1]
