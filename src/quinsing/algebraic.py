@@ -6,16 +6,14 @@ nested dense coefficient vectors (Fraction at depth 0), always reduced.
 
 Every generator carries a Q-witness: a square-free polynomial in Q[T]
 having the generator among its roots, together with the index of that
-root.  A witness of degree at most 2 is exact in closed form: its boxes
-come from integer square roots of the discriminant, and realness and
-conjugation are read off the discriminant's sign.  A witness of higher
-degree selects a sympy CRootOf and refines its isolating box by sympy's
-bisection.  Witness boxes refine exactly in Q and steer the decision
-procedures; the decisions themselves (zero test, realness, ordering) are
-exact.  Defining polynomials are square-free but not necessarily
-irreducible; zero tests fall back to a gcd split decided by locating the
-selected root (dynamic evaluation).  Towers are never mutated;
-refinement state lives in caches.
+root.  A witness of degree at most 2 takes its boxes from integer square
+roots of the discriminant; one of higher degree from a box that Krawczyk's
+test certifies about an mpmath approximation.  Each refine() gains one bit.
+Witness boxes steer the decision procedures; the decisions themselves (zero
+test, realness, ordering) are exact.  Defining polynomials are square-free
+but not necessarily irreducible; zero tests fall back to a gcd split decided
+by locating the selected root (dynamic evaluation).  Towers are never
+mutated; refinement state lives in caches.
 
 Every box decision (a sign, a root comparison, a root location, a gcd
 split, a conjugate partner) runs through one refinement loop, `_narrow`.
@@ -27,8 +25,8 @@ Elimination to Q is linear algebra in the tower's own arithmetic: the first
 Q-linear relation among 1, a, a^2, ... in the flattened power basis
 (`_q_relation`) holds in the tower's ring, so it vanishes at a under every
 embedding.  sympy is reached only through Poly objects in T over QQ built
-from coefficients (`curve.q_poly`), read back through `curve._frac`, for
-factoring over Q, square-free parts and CRootOf witnesses.
+from coefficients (`curve.q_poly`) and read back through `curve._frac`, for
+factoring over Q and square-free parts.
 """
 
 from __future__ import annotations
@@ -38,6 +36,7 @@ import math
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+import mpmath
 import sympy
 
 from .curve import CurveError, _frac, q_poly
@@ -50,9 +49,9 @@ class AlgebraicError(CurveError):
 
 
 class DecisionFailure(CurveError):
-    """A certified box decision ran out of refinement rounds.  Valid input
-    reaches it when two quantities agree to more bits than the rounds
-    resolve, such as the tangent slopes sqrt(2) and sqrt(2 + 10^-150)."""
+    """A certified box decision ran out of refinement rounds, or root isolation
+    out of bits.  Valid input reaches it when two quantities agree to more
+    bits than the rounds resolve, such as the slopes sqrt(2) and sqrt(2 + 10^-150)."""
 
 
 # ---------------------------------------------------------------------------
@@ -183,22 +182,7 @@ def _signs(x, part: int = 0, **rounds) -> List[int]:
 
 
 _REGION_GRID = 64
-
-
-def _split_scaled_rootof(expr):
-    """Decompose a CRootOf-valued expression as (CRootOf, rational scale).
-
-    sympy's root preprocessing may hand back `Rational * CRootOf(...)` instead
-    of a bare CRootOf; the enumeration index still refers to the original
-    polynomial's root set.
-    """
-    if isinstance(expr, sympy.CRootOf):
-        return expr, Fraction(1)
-    if expr.is_Mul:
-        coeff, rest = expr.as_coeff_Mul()
-        if coeff.is_Rational and isinstance(rest, sympy.CRootOf):
-            return rest, _frac(coeff)
-    raise AlgebraicError("unsupported root expression " + str(expr))
+_ISOLATION_BITS = tuple(1 << k for k in range(6, 15))  # doubling to a budget of 2^14 bits
 
 
 def _integer_coeffs(qpoly: sympy.Poly) -> List[int]:
@@ -212,16 +196,64 @@ def _integer_coeffs(qpoly: sympy.Poly) -> List[int]:
     return [v // content for v in ints]
 
 
-def _sqrt_region(u: int, sign: int, d: int, den: int) -> Interval:
-    """(u + sign*sqrt(d))/den as a point if d is a square, else its closed
-    cell of the 1/64 grid; d > 0, den > 0."""
-    r = math.isqrt(d)
-    if r * r == d:
-        value = Fraction(u + sign * r, den)
-        return (value, value)
-    s = math.isqrt(d * _REGION_GRID**2)  # sqrt(64^2 d) lies strictly inside (s, s+1)
-    j = (_REGION_GRID * u + s) // den if sign > 0 else (_REGION_GRID * u - s - 1) // den
-    return (Fraction(j, _REGION_GRID), Fraction(j + 1, _REGION_GRID))
+def _krawczyk(f: Sequence[Fraction], x: Box) -> Box:
+    """K(X) = m - y*f(m) + (1 - y*f'(X))*(X - m) for f (ascending rationals),
+    m the centre of x and y = 1/f'(m) (R. Krawczyk, Computing 4, 1969).  Each
+    root of f in x lies in K(X); K(X) inside x's interior proves x holds one."""
+    df = [k * c for k, c in enumerate(f)][1:]
+    mr, mi = (sum(iv) / 2 for iv in x)
+    m = ((mr, mr), (mi, mi))
+    (a, _), (b, _) = _poly_box_eval(df, 0, (), m)
+    norm = a * a + b * b or 1  # f'(m) = 0 leaves y = 0 and K(X) = X
+    neg_y = ((-a / norm, -a / norm), (b / norm, b / norm))
+    centre = _box_add(m, _box_mul(neg_y, _poly_box_eval(f, 0, (), m)))
+    slope = _box_add(_box_from_frac(Fraction(1)), _box_mul(neg_y, _poly_box_eval(df, 0, (), x)))
+    return _box_add(centre, _box_mul(slope, _box_add(x, ((-mr, -mr), (-mi, -mi)))))
+
+
+def _holds_one_root(f: Sequence[Fraction], x: Box) -> bool:
+    return all(lo < klo and khi < hi for (lo, hi), (klo, khi) in zip(x, _krawczyk(f, x)))
+
+
+@functools.lru_cache(maxsize=1024)  # a pure function of qpoly, so eviction changes nothing
+def _isolate(qpoly: sympy.Poly) -> Tuple[Tuple[Fraction, ...], Tuple[Box, ...]]:
+    """The monic ascending coefficients of the square-free qpoly and one box per
+    root, in witness order.  mpmath approximates the roots at doubling precision
+    until the boxes about the real and upper roots pass the Krawczyk test and,
+    with the upper ones' mirrors, are deg-many and disjoint.  A real root's box
+    is symmetric about the real axis, so it holds the conjugate: the root is real."""
+    f = _ascending(qpoly)
+    for bits in _ISOLATION_BITS:
+        with mpmath.workprec(bits):
+            coeffs = [mpmath.mpf(c.numerator) / c.denominator for c in reversed(f)]
+            try:
+                approx = mpmath.polyroots(coeffs, maxsteps=bits, extraprec=bits)
+            except mpmath.libmp.NoConvergence:
+                approx = []
+            centres = sorted(
+                tuple(Fraction(int(mpmath.ldexp(v, bits)), 1 << bits) for v in (z.real, z.imag))
+                for z in approx
+            )
+        r = Fraction(1, 1 << bits // 2)
+        reals = [((mr - r, mr + r), (-r, r)) for mr, mi in centres if mi == 0]
+        uppers = [((mr - r, mr + r), (mi - r, mi + r)) for mr, mi in centres if mi > 0]
+        boxes = reals + [b for u in uppers for b in (_box_conj(u), u)]
+        if (
+            len(boxes) == len(f) - 1
+            and not any(_box_intersects(a, b) for j, a in enumerate(boxes) for b in boxes[:j])
+            and all(_holds_one_root(f, x) for x in reals + uppers)
+        ):
+            return f, tuple((x[0], _ZERO_IV) if x in reals else x for x in boxes)
+    raise DecisionFailure(f"root isolation of {qpoly.as_expr()} did not converge in {bits} bits")
+
+
+def _grid_cells(iv: Interval) -> Optional[Interval]:
+    """A point, or the 1/64-grid cells iv meets, unless several and iv >= 1/64^2 wide."""
+    if iv[0] == iv[1]:
+        return iv
+    g = _REGION_GRID
+    lo, hi = Fraction(math.floor(iv[0] * g), g), Fraction(math.ceil(iv[1] * g), g)
+    return (lo, hi) if hi - lo == Fraction(1, g) or iv[1] - iv[0] < Fraction(1, g * g) else None
 
 
 class Witness:
@@ -230,64 +262,49 @@ class Witness:
     Roots of polynomials of degree 1 and 2 come from the closed form: with
     integer coefficients a > 0, b, c and D = b^2 - 4ac, the root with index k
     is (-b + (2k-1)*sqrt(D))/2a, and its box at precision p encloses sqrt|D|
-    in [s, s+1]/2^p with s = isqrt(|D|*4^p).  Higher degrees use sympy's
-    CRootOf isolation and bisection.  Both follow sympy's root order: real
-    roots ascending, then conjugate pairs with the lower half-plane first.
+    in [s, s+1]/2^p with s = isqrt(|D|*4^p).  Other boxes are 2^-p of their box
+    of `_isolate` wide, about one that Krawczyk steps contract to half that.
+    Roots are ordered real ascending, then conjugate pairs, lower root first.
     """
 
-    __slots__ = (
-        "qpoly", "index", "rational", "_is_real", "_region",
-        "_quad", "_prec", "_box", "_inner", "_scale", "_iv",
-    )
+    __slots__ = ("qpoly", "index", "rational", "_region", "_quad", "_prec", "_box", "_cert")
 
     def __init__(self, qpoly: sympy.Poly, index: int):
+        if not 0 <= index < qpoly.degree():
+            raise AlgebraicError(f"root index {index} out of range")
         self.qpoly = qpoly
         self.index = index
         self.rational: Optional[Fraction] = None
         self._region: Optional[Box] = None
         self._quad: Optional[Tuple[int, int, int, int]] = None  # (a, b, D, sign of sqrt)
-        self._inner = None
+        self._prec = 0
         self._box: Optional[Box] = None
         if qpoly.degree() <= 2:
             self._init_closed_form()
             return
-        root = sympy.CRootOf(qpoly, index, radicals=False)
-        if root.is_Number:
-            if not root.is_Rational:
-                raise AlgebraicError("unexpected non-rational evaluated root")
-            self.rational = _frac(root)
-            self._is_real = True
-            return
-        self._inner, self._scale = _split_scaled_rootof(root)
-        self._is_real = bool(root.is_real)
-        self._iv = self._inner._get_interval()
+        self._cert = _isolate(qpoly)[1][index]
 
     def _init_closed_form(self):
         coeffs = _integer_coeffs(self.qpoly)
-        if not 0 <= self.index < len(coeffs) - 1:
-            raise AlgebraicError(f"root index {self.index} out of range")
         if len(coeffs) == 2:
             self.rational = Fraction(-coeffs[1], coeffs[0])
-            self._is_real = True
             return
         a, b, c = coeffs
         d = b * b - 4 * a * c
         sign = 2 * self.index - 1
-        self._is_real = d > 0
         if d > 0 and math.isqrt(d) ** 2 == d:
             self.rational = Fraction(-b + sign * math.isqrt(d), 2 * a)
             return
         self._quad = (a, b, d, sign)
-        self._prec = 0
 
     def is_real(self) -> bool:
-        return self._is_real
+        return self.box()[1] == _ZERO_IV
 
     def box(self) -> Box:
         if self.rational is not None:
             return _box_from_frac(self.rational)
         if self._box is None:
-            self._box = self._quad_box() if self._quad is not None else self._interval_box(self._iv)
+            self._box = self._quad_box() if self._quad is not None else self._krawczyk_box()
         return self._box
 
     def _quad_box(self) -> Box:
@@ -305,57 +322,40 @@ class Witness:
         centre = Fraction(-b, 2 * a)
         return ((centre, centre), _iv_round_out((Fraction(lo, den), Fraction(hi, den))))
 
-    def _interval_box(self, iv) -> Box:
-        def scaled(lo, hi) -> Interval:
-            s = self._scale
-            return _iv_round_out(tuple(sorted((_frac(lo) * s, _frac(hi) * s))))
-
-        if self._is_real:
-            return (scaled(iv.a, iv.b), _ZERO_IV)
-        return (scaled(iv.ax, iv.bx), scaled(iv.ay, iv.by))
+    def _krawczyk_box(self) -> Box:
+        f, boxes = _isolate(self.qpoly)
+        half = _box_width(boxes[self.index]) / (2 << self._prec)
+        while _box_width(self._cert) > half:  # a Krawczyk step, rounded out, met with the box
+            k = map(_iv_round_out, _krawczyk(f, self._cert))
+            cert = tuple((max(a[0], b[0]), min(a[1], b[1])) for a, b in zip(self._cert, k))
+            if _box_width(cert) >= _box_width(self._cert):
+                raise AlgebraicError(f"no Krawczyk contraction about a root of {self.qpoly}")
+            self._cert = cert
+        return tuple(  # each coordinate but a point widened about its middle to 2*half
+            iv if iv[0] == iv[1] else (sum(iv) / 2 - half, sum(iv) / 2 + half) for iv in self._cert
+        )
 
     def refine(self):
-        """Shrink the box: one more bit of sqrt|D|, or one sympy bisection step."""
-        if self._quad is not None:
-            self._prec += 1
-        elif self._inner is not None:
-            self._iv = self._iv.refine()
+        """Shrink the box by one bit."""
+        self._prec += 1
         self._box = None
 
     @property
     def region(self) -> Box:
-        """A box determined by the root alone, for the debug format (memoised).
-
-        Closed form: each coordinate is its closed cell of the 1/64 grid, or
-        a point where it is rational.  Otherwise a fresh sympy isolating box
-        bisected to width 1/64.
-        """
+        """A box determined by the root alone, for the debug format (memoised):
+        `_grid_cells` of a fresh witness's box, refined until they are defined.
+        So the real part 1 of the roots 1 +- i*2^(1/4) prints as two cells."""
         if self._region is None:
-            self._region = self._compute_region()
+            fresh = Witness(self.qpoly, self.index)
+            while None in (cells := tuple(map(_grid_cells, fresh.box()))):
+                fresh.refine()
+            self._region = cells
         return self._region
 
-    def _compute_region(self) -> Box:
-        if self.rational is not None:
-            return _box_from_frac(self.rational)
-        if self._quad is not None:
-            a, b, d, sign = self._quad
-            if d > 0:
-                return (_sqrt_region(-b, sign, d, 2 * a), _ZERO_IV)
-            centre = Fraction(-b, 2 * a)
-            return ((centre, centre), _sqrt_region(0, sign, -d, 2 * a))
-        iv = self._inner._get_interval()
-        while _box_width(self._interval_box(iv)) > Fraction(1, _REGION_GRID):
-            iv = iv.refine()
-        return self._interval_box(iv)
-
     def conjugate_index(self) -> int:
-        """Index (same qpoly) of the complex conjugate root."""
+        """Index (same qpoly) of the complex conjugate root: pairs come lower root first."""
         if self.is_real():
             return self.index
-        if self._quad is not None:
-            return 1 - self.index
-        # conjugate roots of a real polynomial are adjacent in sympy order,
-        # lower half-plane first
         return self.index - _signs(self, 1)[0]
 
 

@@ -137,6 +137,22 @@ def test_tangents_closer_than_the_round_budget_are_a_domain_error(text):
         classify_point(parse_poly(text), (0, 0))
 
 
+@pytest.mark.parametrize("k", [40, 150])
+@pytest.mark.parametrize("sign, code, label", [
+    (1, "(1:•,•,•|braces:•)", "D*_4"),
+    (-1, "(1:•,•,•|braces:)", "D_4"),
+])
+def test_near_coincident_roots_of_an_irreducible_cubic_tangent_cone(k, sign, code, label):
+    """The tangent cone T^3 - 3T + 2 + e, e = sign * 10^-k, has two roots
+    within about 10^(-k/2) of 1: a conjugate pair for e > 0, two real roots
+    for e < 0.  They are isolated only once mpmath's precision, doubling from
+    64 bits, reaches about k*log2(10) bits, past a fixed schedule."""
+    text = f"y^3 - 3*x^2*y + {2 * 10**k + sign}/{10**k}*x^3 + x^4"
+    (report,) = classify_all(parse_poly(text))
+    assert report.code == code
+    assert report.catalog_result.arnold_label == label
+
+
 def _random_affine_image(f, rng):
     """f under a random linear map of determinant 1, then moved so that the
     origin goes to a random rational point p; returns (image, p)."""

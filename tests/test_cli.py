@@ -93,6 +93,20 @@ def test_decision_failure_is_one_error_line():
     assert "Traceback" not in res.output
 
 
+def test_catalog_miss_is_reported_with_its_reason():
+    miss = {
+        "matched": False,
+        "code": "(3:•,•|braces:)",
+        "reason": "degree 6 curve; the tables stop at degree 5",
+    }
+    res = run("classify", "y^2 - x^6", "--format", "json")
+    assert res.exit_code == 0
+    assert json.loads(res.output)["reports"][0]["catalog"] == miss
+    res = run("classify", "y^2 - x^6")
+    assert res.exit_code == 0
+    assert f"class: not in catalog ({miss['reason']})" in res.output.splitlines()
+
+
 def test_context_flag_forces_lookup():
     res = run("classify", "(y^2 - x*y)^2 - x^5", "--context", "irreducible")
     assert res.exit_code == 0
@@ -212,15 +226,32 @@ main(["classify", sys.argv[-1], "--point", "0,0", "--cap", "9", "--format", "jso
 """
 
 
-def _json_report_in_fresh_process(others, hash_seed):
+# print a curve's JSON report through the command line, after sympy has
+# isolated the roots of T^3 - 2 in the same process if the first argument asks
+_REPORT_AFTER_CROOTOF = """
+import sys
+import sympy
+from quinsing.cli import main
+if sys.argv[1] == "evalf":
+    T = sympy.Symbol("T")
+    sympy.CRootOf(sympy.Poly(T**3 - 2, T), 0).evalf(60)
+main(["classify", sys.argv[2], "--format", "json"])
+"""
+
+
+def _stdout_of_fresh_process(script, args, hash_seed=0):
     src = str(Path(quinsing.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONHASHSEED=str(hash_seed))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-c", _CLASSIFY_AFTER_OTHERS, *others, DEEP_SWEEP_CURVE],
+        [sys.executable, "-c", script, *args],
         capture_output=True, env=env, timeout=300, check=True,
     )
     return done.stdout
+
+
+def _json_report_in_fresh_process(others, hash_seed):
+    return _stdout_of_fresh_process(_CLASSIFY_AFTER_OTHERS, [*others, DEEP_SWEEP_CURVE], hash_seed)
 
 
 def test_json_report_does_not_depend_on_process_history():
@@ -228,3 +259,13 @@ def test_json_report_does_not_depend_on_process_history():
     assert json.loads(alone)["reports"][0]["code"] == "(3:•,•|braces:•)"
     for hash_seed in range(4):
         assert _json_report_in_fresh_process(OTHER_SWEEP_CURVES, hash_seed) == alone
+
+
+def test_cubic_root_region_does_not_depend_on_sympy_root_cache():
+    """The real branch of y^3 - 2x^3 + x^4 has the coefficient 2^(1/3).  Its
+    region was once bisected from sympy's CRootOf interval, which sympy
+    caches per process: after the evalf it printed 67-digit endpoints."""
+    curve = "y^3 - 2*x^3 + x^4"
+    fresh = _stdout_of_fresh_process(_REPORT_AFTER_CROOTOF, ["fresh", curve])
+    assert _stdout_of_fresh_process(_REPORT_AFTER_CROOTOF, ["evalf", curve]) == fresh
+    assert "RootOf(Z^3 - 2, region=[5/4,81/64]x[0,0], index=2)" in fresh.decode()
